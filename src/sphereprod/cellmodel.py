@@ -12,7 +12,6 @@ multiplies each cell by the weights of the factors it touches.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
 
 from .chains import ChainComplex, ChainMap
 from .errors import DegreeTooSmall, InvalidCoefficientSequence

@@ -8,8 +8,6 @@ reduced modulo boundaries via the Hermite form of the boundary image.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     DimensionMismatch,
     NotAComplex,

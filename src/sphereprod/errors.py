@@ -71,9 +71,5 @@ class NotClosed(SphereProdError):
         self.product = product
 
 
-class UnsupportedDegreePattern(SphereProdError):
-    pass
-
-
 class InternalCheckFailed(SphereProdError):
     """A consistency assertion that should hold by construction failed."""

@@ -4,6 +4,10 @@ Entries are Python ints (arbitrary precision) or fractions.Fraction (always
 in lowest terms with positive denominator), so no operation ever overflows
 or rounds.  Matrices are immutable; algorithms copy the entries into lists,
 mutate those, and wrap the result.
+
+All rational elimination (rank, solve, inverse, kernel and determinant)
+goes through the single Gauss-Jordan routine ``_gauss_jordan``; the
+integer determinant uses fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -13,19 +17,18 @@ from fractions import Fraction
 from .errors import DimensionMismatch, SingularInput
 
 
-def _check_int(x):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"integer entry expected, got {type(x).__name__}")
-    return x
+class _Matrix:
+    """Shared body of IntMatrix and RatMatrix.
 
-
-class IntMatrix:
-    """Immutable dense matrix with integer entries."""
+    Subclasses set ``_zero`` and ``_coerce``, which validates one entry and
+    converts it to the subclass's entry type.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(_check_int(x) for x in row) for row in data)
+        coerce = self._coerce
+        data = tuple(tuple(coerce(x) for x in row) for row in data)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -40,7 +43,7 @@ class IntMatrix:
         object.__setattr__(self, "data", data)
 
     def __setattr__(self, *args):
-        raise AttributeError("IntMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -80,24 +83,58 @@ class IntMatrix:
         return [list(row) for row in self.data]
 
     def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
+        return type(self)([[self.data[i][j] for i in range(self.rows)]
+                           for j in range(self.cols)], cols=self.rows)
 
     def __matmul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.to_rational() @ other
+        """Matrix product; an integer and a rational factor give a
+        rational product."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
+        cls = type(self) if type(other) is type(self) else RatMatrix
         ot = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot]
-             for row in self.data], cols=other.cols)
+        return cls([[sum(a * b for a, b in zip(row, col)) for col in ot]
+                    for row in self.data], cols=other.cols)
 
     def mul_vector(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match cols")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        zero = self._zero
+        return tuple(sum((a * b for a, b in zip(row, v)), zero)
+                     for row in self.data)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.shape == other.shape
+                and self.data == other.data)
+
+    def __hash__(self):
+        return hash((self.shape, self.data))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_lists()!r})"
+
+
+def _check_int(x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"integer entry expected, got {type(x).__name__}")
+    return x
+
+
+def _check_frac(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"rational entry expected, got {type(x).__name__}")
+
+
+class IntMatrix(_Matrix):
+    """Immutable dense matrix with integer entries."""
+
+    __slots__ = ()
+    _zero = 0
+    _coerce = staticmethod(_check_int)
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -116,13 +153,6 @@ class IntMatrix:
     def scale(self, k):
         return IntMatrix([[k * a for a in row] for row in self.data],
                          cols=self.cols)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.shape, self.data))
 
     def is_identity(self):
         return (self.rows == self.cols and
@@ -174,104 +204,13 @@ class IntMatrix:
         return RatMatrix([[Fraction(x) for x in row] for row in self.data],
                          cols=self.cols)
 
-    def __repr__(self):
-        return f"IntMatrix({self.to_lists()!r})"
 
-
-def _check_frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"rational entry expected, got {type(x).__name__}")
-
-
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Immutable dense matrix with rational entries."""
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, cols=None):
-        data = tuple(tuple(_check_frac(x) for x in row) for row in data)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        columns = [tuple(_check_frac(x) for x in c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            rows = 0
-        return cls([[col[i] for col in columns] for i in range(rows)],
-                   cols=len(columns))
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
-
-    def transpose(self):
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rational()
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.shape} by {other.shape}")
-        ot = other.transpose().data
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot]
-             for row in self.data], cols=other.cols)
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match cols")
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
-                     for row in self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.shape == other.shape
-                and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.shape, self.data))
+    __slots__ = ()
+    _zero = Fraction(0)
+    _coerce = staticmethod(_check_frac)
 
     def is_integral(self):
         return all(x.denominator == 1 for row in self.data for x in row)
@@ -285,57 +224,58 @@ class RatMatrix:
     def det(self):
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        m = self.to_lists()
-        n = self.rows
-        det = Fraction(1)
-        for k in range(n):
-            pivot = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return Fraction(0)
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return det
+        pivots, det = _gauss_jordan(self.to_lists(), self.cols)
+        return det if len(pivots) == self.cols else Fraction(0)
 
-    def __repr__(self):
-        return f"RatMatrix({self.to_lists()!r})"
+
+def _rational_rows(matrix):
+    if isinstance(matrix, IntMatrix):
+        matrix = matrix.to_rational()
+    return matrix.to_lists()
+
+
+def _gauss_jordan(m, cols):
+    """Reduce the first ``cols`` columns of the rows ``m`` in place.
+
+    ``m`` is a list of lists of Fractions, possibly with extra columns on
+    the right (a right-hand side or an identity block) that follow the row
+    operations.  On return the first ``len(pivots)`` rows are in reduced
+    row echelon form, with pivot ``r`` equal to 1 in column ``pivots[r]``.
+    Returns ``(pivots, det)``, where ``det`` is the product of the pivots
+    met, negated once per row swap; it is the determinant when the
+    reduced block is square and every column has a pivot.
+    """
+    rows = len(m)
+    pivots = []
+    # the pivot product as integer numerator and denominator: one Fraction
+    # at the end costs less than a Fraction product per pivot
+    num = den = 1
+    for col in range(cols):
+        rank = len(pivots)
+        for pivot in range(rank, rows):
+            if m[pivot][col] != 0:
+                break
+        else:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            num = -num
+        p = m[rank][col]
+        num *= p.numerator
+        den *= p.denominator
+        inv = 1 / p
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots, Fraction(num, den)
 
 
 def rat_rank(matrix):
-    """Rank over the rationals, by Gaussian elimination."""
-    m = matrix.to_lists() if isinstance(matrix, RatMatrix) \
-        else matrix.to_rational().to_lists()
-    rows = len(m)
-    cols = len(m[0]) if rows else matrix.cols
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the rationals, by Gauss-Jordan elimination."""
+    return len(_gauss_jordan(_rational_rows(matrix), matrix.cols)[0])
 
 
 def rat_solve(matrix, rhs):
@@ -345,35 +285,14 @@ def rat_solve(matrix, rhs):
     Free variables (columns without a pivot) are set to zero, so for a
     full-column-rank matrix the returned solution is the unique one.
     """
-    a = matrix if isinstance(matrix, RatMatrix) else matrix.to_rational()
-    if len(rhs) != a.rows:
+    if len(rhs) != matrix.rows:
         raise DimensionMismatch("right-hand side has wrong length")
-    m = [list(row) + [_check_frac(b)] for row, b in zip(a.data, rhs)]
-    rows, cols = a.rows, a.cols
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if m[i][cols] != 0:
-            return None
+    cols = matrix.cols
+    m = [row + [_check_frac(b)]
+         for row, b in zip(_rational_rows(matrix), rhs)]
+    pivots, _ = _gauss_jordan(m, cols)
+    if any(m[i][cols] != 0 for i in range(len(pivots), len(m))):
+        return None
     x = [Fraction(0)] * cols
     for r, col in enumerate(pivots):
         x[col] = m[r][cols]
@@ -382,27 +301,14 @@ def rat_solve(matrix, rhs):
 
 def rat_inverse(matrix):
     """Exact inverse of a square rational matrix."""
-    a = matrix if isinstance(matrix, RatMatrix) else matrix.to_rational()
-    if a.rows != a.cols:
+    if matrix.rows != matrix.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    n = a.rows
-    m = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                      for j in range(n)] for i, row in enumerate(a.data)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularInput("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    n = matrix.rows
+    m = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, row in enumerate(_rational_rows(matrix))]
+    pivots, _ = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        raise SingularInput("matrix is singular")
     return RatMatrix([row[n:] for row in m], cols=n)
 
 
@@ -416,33 +322,11 @@ def int_inverse_unimodular(matrix):
 
 def rat_kernel_basis(matrix):
     """Basis (list of tuples) of the rational right kernel of matrix."""
-    a = matrix if isinstance(matrix, RatMatrix) else matrix.to_rational()
-    m = a.to_lists()
-    rows, cols = a.rows, a.cols
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = matrix.cols
+    m = _rational_rows(matrix)
+    pivots, _ = _gauss_jordan(m, cols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):

@@ -112,9 +112,6 @@ class SNFResult:
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
-    def nontrivial_divisors(self):
-        return [d for d in self.diagonal if d not in (0, 1)]
-
     def verify(self, matrix):
         if self.U @ matrix @ self.V != self.D:
             return False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .alt2 import alt2, alt2_section
 from .errors import (
@@ -33,7 +33,6 @@ from .rings import (
     build_weighted_ring,
     check_ring_map,
     mask_degree,
-    mask_label,
     sign_of_product,
     weighted_basis_masks,
 )
@@ -110,10 +109,16 @@ class OrderInput:
     @classmethod
     def from_json_obj(cls, obj):
         from .serialize import fraction_from_str
-        return cls(obj["degrees"],
-                   [(int(g["degree"]),
-                     [fraction_from_str(x) for x in g["vector"]])
-                    for g in obj["generators"]])
+        try:
+            degrees = [int(d) for d in obj["degrees"]]
+            generators = [(int(g["degree"]),
+                           [fraction_from_str(x) for x in g["vector"]])
+                          for g in obj["generators"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidOrderInput(
+                f"malformed order JSON ({type(exc).__name__}: {exc})"
+            ) from None
+        return cls(degrees, generators)
 
 
 def monomial_order_input(degrees, coeffs=None):
@@ -129,7 +134,11 @@ def monomial_order_input(degrees, coeffs=None):
 
 
 class _OrderContext:
-    """Shared exact solvers for one order input."""
+    """One verified order input: exact solvers plus its structure ring.
+
+    Construction runs every check of verify_order once (rank, unit,
+    closure); the classifier stages share the result.
+    """
 
     def __init__(self, inp):
         self.degrees = inp.degrees
@@ -162,6 +171,27 @@ class _OrderContext:
             raise WrongRank("generators are linearly dependent")
         self.basis_inv = rat_inverse(self.basis)
         self.gen_degrees = tuple(g.degree for g in inp.generators)
+        # an order contains 1 and is closed under products of generators
+        if self.int_coords(unit_vector()) is None:
+            raise NotUnital("the element 1 does not lie in the lattice")
+        n = 8
+        table = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                product = r_multiply(self.gen_vectors[i],
+                                     self.gen_vectors[j], self.degrees)
+                coords = self.int_coords(product)
+                if coords is None:
+                    raise NotClosed(
+                        f"product of generators {i} and {j} escapes the "
+                        f"lattice", left=i, right=j, product=product)
+                row.append(tuple(Fraction(x) for x in coords))
+            table.append(row)
+        unit_index = self.gen_degrees.index(0)
+        labels = tuple(f"g{i}" for i in range(n))
+        self.ring = StructRing(labels, self.gen_degrees, table,
+                               unit_index=unit_index)
 
     def coords(self, vector):
         return self.basis_inv.mul_vector(vector)
@@ -172,9 +202,6 @@ class _OrderContext:
             return None
         return tuple(int(x) for x in c)
 
-    def lattice(self):
-        return Lattice(self.basis, check=False)
-
 
 def verify_order(inp):
     """Check that the input generates an order; return its ring structure.
@@ -183,27 +210,7 @@ def verify_order(inp):
     returned StructRing carries the integer structure constants of the
     order in its own (sign-normalized) generator basis.
     """
-    ctx = _OrderContext(inp)
-    if ctx.int_coords(unit_vector()) is None:
-        raise NotUnital("the element 1 does not lie in the lattice")
-    n = 8
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            product = r_multiply(ctx.gen_vectors[i], ctx.gen_vectors[j],
-                                 ctx.degrees)
-            coords = ctx.int_coords(product)
-            if coords is None:
-                raise NotClosed(
-                    f"product of generators {i} and {j} escapes the "
-                    f"lattice", left=i, right=j, product=product)
-            row.append(tuple(Fraction(x) for x in coords))
-        table.append(row)
-    unit_index = next(i for i, g in enumerate(inp.generators)
-                      if g.degree == 0)
-    labels = tuple(f"g{i}" for i in range(n))
-    return StructRing(labels, ctx.gen_degrees, table, unit_index=unit_index)
+    return _OrderContext(inp).ring
 
 
 @dataclass(frozen=True)
@@ -245,11 +252,12 @@ def _power_intersection(ctx, power):
     return Lattice.from_columns(columns, ambient_dim=8, check=False)
 
 
-def decompose(inp, ring=None):
+def decompose(inp):
     """Split the order as unit (+) L1 (+) L2 (+) L3, homogeneously."""
-    if ring is None:
-        verify_order(inp)
-    ctx = _OrderContext(inp)
+    return _decompose(_OrderContext(inp))
+
+
+def _decompose(ctx):
     n1 = _power_intersection(ctx, 1)
     n2 = _power_intersection(ctx, 2)
     n3 = _power_intersection(ctx, 3)
@@ -261,7 +269,7 @@ def decompose(inp, ring=None):
             f"decomposition ranks are ({l1.rank}, {l2.rank}, {l3.rank})")
     dec = Decomposition(unit=unit_vector(), l1=l1, l2=l2, l3=l3,
                         ambient_degrees=ctx.adeg)
-    if sorted(dec.part_degrees(1)) != sorted(inp.degrees):
+    if sorted(dec.part_degrees(1)) != sorted(ctx.degrees):
         raise InternalCheckFailed(
             "degrees of the first slice do not match the input degrees")
     return dec
@@ -300,11 +308,6 @@ def _add_vec(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _top_coefficient(ctx, vector):
-    """Coefficient of a top-degree vector against the x_123 monomial."""
-    return vector[FULL_MASK]
-
-
 def _repair_square(ctx, dec, b, k):
     """Adjust b[k] within its degree slice so that it squares to zero.
 
@@ -331,8 +334,9 @@ def _repair_square(ctx, dec, b, k):
     cross = r_multiply(vec, z, ctx.degrees)
     if any(x != 0 for x in z_square):
         raise InternalCheckFailed("correction cell has a nonzero square")
-    m0 = _top_coefficient(ctx, square)
-    m1 = _top_coefficient(ctx, cross)
+    # both live in the top degree, spanned by the x_123 monomial
+    m0 = square[FULL_MASK]
+    m1 = cross[FULL_MASK]
     # (b + t z)^2 = b^2 + 2 t (b z), so solve m0 + 2 t m1 = 0 over Z
     if m1 == 0 or (m0 % (2 * m1)) != 0:
         return None, {
@@ -365,7 +369,7 @@ def _products_for_masks(ctx, b):
     return products
 
 
-def _try_weighted_basis(ctx, ring, b):
+def _try_weighted_basis(ctx, b):
     """Attempt to exhibit the order as the weighted model on basis b.
 
     Returns (coeffs, witness, None) on success, else (None, None, info)
@@ -418,7 +422,7 @@ def _try_weighted_basis(ctx, ring, b):
                for m in masks_order]
     witness = RingMapWitness(RatMatrix.from_columns(columns, rows=8))
     model = build_weighted_ring(coeffs, ctx.degrees)
-    if not check_ring_map(witness, model, ring):
+    if not check_ring_map(witness, model, ctx.ring):
         return None, None, {"failure": "witness rejected"}
     return coeffs, witness, None
 
@@ -458,11 +462,10 @@ def classify_order(inp, height_bound=8):
     square-zero search; all other patterns follow the three-case basis
     normalization (with a square repair in the even coincidence degrees).
     """
-    ring = verify_order(inp)
     ctx = _OrderContext(inp)
     if _repeated_even(inp.degrees):
-        return not_weighted_search(inp, height_bound)
-    dec = decompose(inp, ring)
+        return _search(ctx, height_bound)
+    dec = _decompose(ctx)
     b = _match_basis_to_degrees(dec, inp.degrees)
 
     for k in range(3):
@@ -517,7 +520,7 @@ def classify_order(inp, height_bound=8):
                       _scale_vec(b[q], Fraction(v0.entry(1, 1))))
         b[p], b[q] = bp, bq
 
-    coeffs, witness, info = _try_weighted_basis(ctx, ring, b)
+    coeffs, witness, info = _try_weighted_basis(ctx, b)
     if info is not None:
         raise InternalCheckFailed(
             f"normalized basis failed verification: {info}")
@@ -573,13 +576,14 @@ def _binary_square_zero_lines(ctx, g1, g2):
 
 
 def _exact_sqrt(n):
+    """Rational square root of n, or None when n is not a rational square."""
+    n = Fraction(n)
     if n < 0:
         return None
-    root = int(n ** 0.5)
-    for cand in (root - 1, root, root + 1, root + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    num, den = isqrt(n.numerator), isqrt(n.denominator)
+    if num * num != n.numerator or den * den != n.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def _canonical_sign(vec):
@@ -598,9 +602,11 @@ def not_weighted_search(inp, height_bound=8):
     three slices (and all-square-zero planes) fall back to coordinates
     bounded by height_bound, and failure is then inconclusive.
     """
-    ring = verify_order(inp)
-    ctx = _OrderContext(inp)
-    dec = decompose(inp, ring)
+    return _search(_OrderContext(inp), height_bound)
+
+
+def _search(ctx, height_bound):
+    dec = _decompose(ctx)
 
     gens_by_degree = {}
     for vec, deg in zip(ctx.gen_vectors, ctx.gen_degrees):
@@ -678,7 +684,7 @@ def not_weighted_search(inp, height_bound=8):
                 deduped.append(vec)
         return deduped, certified
 
-    degree_values = sorted(set(inp.degrees))
+    degree_values = sorted(set(ctx.degrees))
     candidates = {}
     certified_all = True
     for deg in degree_values:
@@ -688,7 +694,7 @@ def not_weighted_search(inp, height_bound=8):
 
     failures = []
     import itertools
-    pools = [candidates[d] for d in inp.degrees]
+    pools = [candidates[d] for d in ctx.degrees]
     for combo in itertools.product(*pools):
         if len({tuple(c) for c in combo}) < 3:
             continue
@@ -697,7 +703,7 @@ def not_weighted_search(inp, height_bound=8):
             continue
         if abs(IntMatrix.from_columns(images, rows=3).det()) != 1:
             continue
-        coeffs, witness, info = _try_weighted_basis(ctx, ring, list(combo))
+        coeffs, witness, info = _try_weighted_basis(ctx, list(combo))
         if info is None:
             return ClassificationResult(
                 outcome="weighted", coefficients=coeffs, witness=witness,

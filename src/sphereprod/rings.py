@@ -132,14 +132,18 @@ class CoefficientSequence:
     @classmethod
     def from_json_obj(cls, obj):
         table = obj.get("c", obj)
-        def get(key):
+
+        def get(key, default):
             v = table.get(key)
-            return None if v is None else int(v)
-        c12 = get("12") or 1
-        c13 = get("13") or 1
-        c23 = get("23") or 1
-        c123 = get("123")
-        return cls(c12, c13, c23, c123)
+            if v is None:
+                return default
+            try:
+                return int(v)
+            except ValueError:
+                raise InvalidCoefficientSequence(
+                    f"weight {key} is not an integer: {v!r}") from None
+        return cls(get("12", 1), get("13", 1), get("23", 1),
+                   get("123", None))
 
 
 class StructRing:
@@ -179,9 +183,6 @@ class StructRing:
     @property
     def dim(self):
         return len(self.labels)
-
-    def basis_product(self, p, q):
-        return self.table[p][q]
 
     def multiply(self, u, v):
         """Product of two coordinate vectors."""

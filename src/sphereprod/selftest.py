@@ -15,7 +15,6 @@ from .cellmodel import (
     build_boundary_complex,
     build_comparison_chain_map,
     build_face_square,
-    build_unweighted_boundary_complex,
     power_sequence_from_coefficients,
     top_comparison_multiplier,
     top_cycles,
@@ -38,7 +37,6 @@ from .realize import les_top_degree_check, realize_ring, \
     ring_of_weighted_product
 from .rings import (
     CoefficientSequence,
-    RingMapWitness,
     build_weighted_ring,
     check_ring_map,
     mask_from_elements,

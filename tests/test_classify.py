@@ -214,3 +214,41 @@ def test_search_routed_for_repeated_even():
     result = classify_order(inp)
     assert result.case == "search"
     assert result.is_weighted
+
+
+def test_search_certificate_lists_rational_square_zero_lines():
+    # the degree-2 slice is spanned by (x1 + x2)/3 and x2; its square-zero
+    # lines x1 = 3 g1 - g2 and x2 = g2 have a rational discriminant
+    F = Fraction
+    t = F(1, 3)
+    gens = [
+        (0, (1, 0, 0, 0, 0, 0, 0, 0)),
+        (2, (0, t, t, 0, 0, 0, 0, 0)),
+        (2, (0, 0, 1, 0, 0, 0, 0, 0)),
+        (3, (0, 0, 0, 0, 1, 0, 0, 0)),
+        (4, (0, 0, 0, F(1, 9), 0, 0, 0, 0)),
+        (5, (0, 0, 0, 0, 0, t, t, 0)),
+        (5, (0, 0, 0, 0, 0, 0, 1, 0)),
+        (7, (0, 0, 0, 0, 0, 0, 0, F(1, 9))),
+    ]
+    result = classify_order(OrderInput((2, 2, 3), gens))
+    assert result.outcome == "not_weighted_certified"
+    assert result.report["exhaustive"] is True
+    cands = result.report["candidates_by_degree"]["2"]
+    vectors = {tuple(Fraction(x) for x in vec) for vec in cands}
+    e1 = tuple(Fraction(1 if m == 1 else 0) for m in range(8))
+    e2 = tuple(Fraction(1 if m == 2 else 0) for m in range(8))
+    minus = lambda v: tuple(-x for x in v)
+    assert vectors == {e1, minus(e1), e2, minus(e2)}
+
+
+def test_classify_reembedded_weighted_two_equal_even_double():
+    # degrees (2, 2, 4) with a weight on the repeated pair: the search
+    # must find the square-zero lines through rational discriminants
+    c = CoefficientSequence(3, 1, 2, 6)
+    for seed in (1, 2, 3):
+        inp = embedded_weighted_order(c, (2, 2, 4), rng=random.Random(seed))
+        result = classify_order(inp)
+        assert result.outcome == "weighted", (seed, result.report)
+        model = build_weighted_ring(result.coefficients, (2, 2, 4))
+        assert check_ring_map(result.witness, model, verify_order(inp))

@@ -106,6 +106,36 @@ def test_selftest_command(capsys):
     assert out["failed"] == 0
 
 
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("bad_json", "SphereProdError"),
+    ("bad_degrees", "SphereProdError"),
+    ("missing_generators", "InvalidOrderInput"),
+    ("negative_bound", "SphereProdError"),
+])
+def test_malformed_input_gives_error_document(tmp_path, capsys, case, kind):
+    coeffs = write_coeffs(tmp_path, {"c": {"12": "2"}})
+    order = _write(tmp_path, "order.json", json.dumps({"degrees": [2, 2, 3]}))
+    argv = {
+        "bad_json": ["realize", "--degrees", "2,2,2", "--coeffs",
+                     _write(tmp_path, "bad.json", "{\"c\": {")],
+        "bad_degrees": ["homology", "--degrees", "2,x,3",
+                        "--coeffs", coeffs],
+        "missing_generators": ["classify", "--input", order],
+        "negative_bound": ["classify", "--input", "bad3.json",
+                           "--height-bound", "-1"],
+    }[case]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert out["kind"] == kind
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--degrees", "2,2,2"])

@@ -71,6 +71,14 @@ def test_coefficient_sequence_json_round_trip():
     assert partial == CoefficientSequence(2, 1, 1, 2)
 
 
+@pytest.mark.parametrize("table", [{"12": "0"}, {"13": "0"}, {"23": "0"},
+                                   {"123": "0"}, {"12": "x"}])
+def test_coefficient_sequence_json_rejects_bad_weights(table):
+    # only a missing weight defaults to 1; zero is not a weight
+    with pytest.raises(InvalidCoefficientSequence):
+        CoefficientSequence.from_json_obj({"c": table})
+
+
 def test_build_weighted_ring_exterior():
     ring = build_weighted_ring(CoefficientSequence.ones(), (3, 3, 3))
     idx = {label: i for i, label in enumerate(ring.labels)}
