@@ -13,6 +13,10 @@ class DimensionMismatch(SphereProdError):
     pass
 
 
+class InvalidMatrixInput(SphereProdError):
+    """A matrix JSON document is malformed."""
+
+
 class SingularInput(SphereProdError):
     pass
 

@@ -99,8 +99,9 @@ def intersect_subspace(lattice, subspace):
     b = lattice.basis
     constraint_rows = []
     for f in annihilator:
-        row = [sum((fi * b.entry(i, j) for i, fi in enumerate(f)),
-                   Fraction(0)) for j in range(b.cols)]
+        support = [(i, fi) for i, fi in enumerate(f) if fi]
+        row = [sum((fi * b.entry(i, j) for i, fi in support), Fraction(0))
+               for j in range(b.cols)]
         den = lcm(*(x.denominator for x in row)) if row else 1
         constraint_rows.append([int(x * den) for x in row])
     constraint = IntMatrix(constraint_rows, cols=b.cols)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .alt2 import alt2, alt2_section
 from .errors import (
@@ -20,6 +20,7 @@ from .errors import (
     InvalidOrderInput,
     NotClosed,
     NotUnital,
+    SingularInput,
     WrongRank,
 )
 from .lattices import Lattice, column_degree, intersect_subspace, \
@@ -160,17 +161,30 @@ class _OrderContext:
                 for m in MASKS:
                     vec[m] = -vec[m]
         self.gen_vectors = [tuple(v) for v in vectors]
-        self.basis = RatMatrix.from_columns(self.gen_vectors, rows=8)
         expected = sorted(self.adeg)
         got = sorted(g.degree for g in inp.generators)
         if expected != got:
             raise WrongRank(
                 f"generator degrees {got} do not match the graded "
                 f"dimensions {expected}")
-        if self.basis.det() == 0:
-            raise WrongRank("generators are linearly dependent")
-        self.basis_inv = rat_inverse(self.basis)
         self.gen_degrees = tuple(g.degree for g in inp.generators)
+        # the basis is block diagonal by degree: invert each block once and
+        # keep it as an integer matrix over one common denominator
+        self._blocks = []
+        for deg in sorted(set(self.adeg)):
+            masks = [m for m in MASKS if self.adeg[m] == deg]
+            gens = [i for i, d in enumerate(self.gen_degrees) if d == deg]
+            block = RatMatrix([[self.gen_vectors[i][m] for i in gens]
+                               for m in masks])
+            try:
+                inv = rat_inverse(block)
+            except SingularInput:
+                raise WrongRank("generators are linearly dependent") \
+                    from None
+            den = lcm(*(x.denominator for row in inv.data for x in row))
+            num = [[x.numerator * (den // x.denominator) for x in row]
+                   for row in inv.data]
+            self._blocks.append((masks, gens, num, den))
         # an order contains 1 and is closed under products of generators
         if self.int_coords(unit_vector()) is None:
             raise NotUnital("the element 1 does not lie in the lattice")
@@ -186,21 +200,30 @@ class _OrderContext:
                     raise NotClosed(
                         f"product of generators {i} and {j} escapes the "
                         f"lattice", left=i, right=j, product=product)
-                row.append(tuple(Fraction(x) for x in coords))
+                row.append(coords)
             table.append(row)
         unit_index = self.gen_degrees.index(0)
         labels = tuple(f"g{i}" for i in range(n))
         self.ring = StructRing(labels, self.gen_degrees, table,
                                unit_index=unit_index)
 
-    def coords(self, vector):
-        return self.basis_inv.mul_vector(vector)
-
     def int_coords(self, vector):
-        c = self.coords(vector)
-        if any(x.denominator != 1 for x in c):
-            return None
-        return tuple(int(x) for x in c)
+        """Integer coordinates of vector in the generators, or None."""
+        out = [0] * 8
+        for masks, gens, num, den in self._blocks:
+            part = [vector[m] for m in masks]
+            if not any(part):
+                continue
+            # clear the slice's denominators: w = e * part is integral
+            e = lcm(*(x.denominator for x in part))
+            w = [x.numerator * (e // x.denominator) for x in part]
+            de = den * e
+            for i, row in zip(gens, num):
+                q, r = divmod(sum(a * b for a, b in zip(row, w)), de)
+                if r:
+                    return None
+                out[i] = q
+        return tuple(out)
 
 
 def verify_order(inp):
@@ -400,11 +423,11 @@ def _try_weighted_basis(ctx, b):
         by_degree.setdefault(ctx.adeg[mask], []).append(mask)
     for deg in sorted(by_degree):
         masks = by_degree[deg]
-        block = [[Fraction(coords[m][i], c_of[m])
-                  for m in masks]
-                 for i, gd in enumerate(ctx.gen_degrees) if gd == deg]
-        mat = RatMatrix(block, cols=len(masks))
-        if not mat.is_integral() or abs(mat.to_int().det()) != 1:
+        # c_of[m] divides every entry of coords[m], so the block is integral
+        block = IntMatrix([[coords[m][i] // c_of[m] for m in masks]
+                           for i, gd in enumerate(ctx.gen_degrees)
+                           if gd == deg])
+        if abs(block.det()) != 1:
             return None, None, {"failure": "graded piece has no basis of "
                                            "fractional monomials",
                                 "degree": deg}
@@ -418,7 +441,7 @@ def _try_weighted_basis(ctx, b):
     coeffs = CoefficientSequence(c12=c_of[0b011], c13=c_of[0b101],
                                  c23=c_of[0b110], c123=c_of[0b111])
     masks_order = weighted_basis_masks(ctx.degrees)
-    columns = [[Fraction(coords[m][i], c_of[m]) for i in range(8)]
+    columns = [[coords[m][i] // c_of[m] for i in range(8)]
                for m in masks_order]
     witness = RingMapWitness(RatMatrix.from_columns(columns, rows=8))
     model = build_weighted_ring(coeffs, ctx.degrees)

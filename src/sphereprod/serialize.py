@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidMatrixInput
 from .matrices import IntMatrix, RatMatrix
 
 
@@ -31,9 +32,20 @@ def int_matrix_to_obj(m):
             "entries": [[str(x) for x in row] for row in m.data]}
 
 
+def _int_from_json(x):
+    # int() would also truncate a float and take a bool as 0 or 1
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"integer entry expected, got {type(x).__name__}")
+    return int(x)
+
+
 def int_matrix_from_obj(obj):
-    entries = [[int(x) for x in row] for row in obj["entries"]]
-    return IntMatrix(entries, cols=obj["cols"])
+    try:
+        entries = [[_int_from_json(x) for x in row] for row in obj["entries"]]
+        return IntMatrix(entries, cols=obj["cols"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidMatrixInput(
+            f"malformed matrix JSON ({type(exc).__name__}: {exc})") from None
 
 
 def rat_matrix_to_obj(m):

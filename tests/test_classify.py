@@ -5,11 +5,13 @@ import pytest
 
 from sphereprod.errors import NotClosed, NotUnital, WrongRank
 from sphereprod.lattices import column_degree
-from sphereprod.matrices import IntMatrix
+from sphereprod.matrices import IntMatrix, RatMatrix, rat_inverse
 from sphereprod.normal_forms import snf
 from sphereprod.orders import (
     ClassificationResult,
     OrderInput,
+    _OrderContext,
+    ambient_degrees,
     classify_order,
     decompose,
     monomial_order_input,
@@ -87,6 +89,59 @@ def test_verify_wrong_rank():
         (3, tuple(F(1) if m == 1 else F(0) for m in range(8)))] * 7
     with pytest.raises(WrongRank):
         verify_order(OrderInput((3, 3, 3), gens))
+
+    # degree counts match, but two degree-3 generators are proportional
+    gens = [(g.degree, g.vector)
+            for g in monomial_order_input((3, 3, 3)).generators]
+    first, second = [i for i, (d, _) in enumerate(gens) if d == 3][:2]
+    gens[second] = (3, tuple(2 * x for x in gens[first][1]))
+    with pytest.raises(WrongRank, match="linearly dependent"):
+        verify_order(OrderInput((3, 3, 3), gens))
+
+
+def _oracle_int_coords(basis_inv, vector):
+    """Coordinates by the dense 8x8 rational inverse of the basis."""
+    coords = basis_inv.mul_vector(vector)
+    if any(x.denominator != 1 for x in coords):
+        return None
+    return tuple(int(x) for x in coords)
+
+
+def test_int_coords_match_dense_oracle():
+    rng = random.Random(8006)
+    fractions = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2),
+                 Fraction(3, 4)]
+    seen_none = seen_integral = 0
+    for _ in range(12):
+        d = random_admissible_degrees(rng)
+        c = random_coefficients(rng, entry_bound=12)
+        ctx = _OrderContext(embedded_weighted_order(c, d, rng=rng))
+        basis_inv = rat_inverse(RatMatrix.from_columns(ctx.gen_vectors))
+        adeg = ambient_degrees(d)
+        for _ in range(40):
+            homogeneous = rng.random() < 0.5
+            deg = rng.choice(adeg)
+            picks = [i for i, g in enumerate(ctx.gen_degrees)
+                     if not homogeneous or g == deg]
+            integral = rng.random() < 0.5
+            vec = [Fraction(0)] * 8
+            for i in picks:
+                k = (Fraction(rng.randint(-4, 4)) if integral
+                     else rng.choice(fractions) * rng.randint(-3, 3))
+                vec = [a + k * b for a, b in zip(vec, ctx.gen_vectors[i])]
+            if not integral and rng.random() < 0.5:
+                # a rational perturbation on one monomial of the support
+                m = rng.choice([m for m in range(8)
+                                if not homogeneous or adeg[m] == deg])
+                vec[m] += Fraction(1, rng.randint(2, 7))
+            vec = tuple(vec)
+            expected = _oracle_int_coords(basis_inv, vec)
+            assert ctx.int_coords(vec) == expected, (d, c, vec)
+            if expected is None:
+                seen_none += 1
+            else:
+                seen_integral += 1
+    assert seen_none and seen_integral
 
 
 def test_decompose_monomial():

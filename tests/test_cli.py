@@ -136,6 +136,25 @@ def test_malformed_input_gives_error_document(tmp_path, capsys, case, kind):
     assert out["kind"] == kind
 
 
+@pytest.mark.parametrize("matrix", [
+    {"rows": 3, "entries": [["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]},
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    {"rows": 3, "cols": 3, "entries": [["a", "0", "0"], ["0", "1", "0"],
+                                       ["0", "0", "1"]]},
+    {"rows": 3, "cols": 3, "entries": [["1", "0", "0"], ["0", "1"],
+                                       ["0", "0", "1"]]},
+    {"rows": 3, "cols": 3, "entries": [[1.5, 0, 0], [0, 1, 0], [0, 0, 1]]},
+], ids=["missing_cols", "top_level_list", "non_integer_entry",
+        "ragged_rows", "float_entry"])
+def test_alt2_section_malformed_matrix(tmp_path, capsys, matrix):
+    path = _write(tmp_path, "m.json", json.dumps(matrix))
+    code, out = run_cli(capsys, "alt2-section", "--matrix", path)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert out["kind"] == "InvalidMatrixInput"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--degrees", "2,2,2"])

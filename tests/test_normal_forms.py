@@ -153,3 +153,100 @@ def test_integer_kernel():
     lat = Lattice.from_columns(kernel, ambient_dim=3)
     assert (1, -1, 0) in lat
     assert (-1, 0, 1) in lat
+
+
+# Property tests against sympy as an independent oracle.  They need
+# hypothesis and sympy (the ``test`` extra) and skip without them.
+
+try:
+    import sympy
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    sympy = None
+
+
+def _sympy_nonzero_invariants(rows, cols):
+    """Nonzero invariant factors of the integer matrix with these rows."""
+    from sympy.matrices.normalforms import invariant_factors
+    if not rows:
+        return []
+    m = sympy.Matrix(len(rows), cols, lambda i, j: rows[i][j])
+    return [abs(int(d)) for d in invariant_factors(m, domain=sympy.ZZ)
+            if d != 0]
+
+
+def _is_unimodular(matrix):
+    return abs(int(sympy.Matrix(matrix.to_lists()).det())) == 1
+
+
+if sympy is not None:
+    PROPERTY = settings(max_examples=60, deadline=None)
+
+    @st.composite
+    def int_matrices(draw):
+        """Small integer matrices; a low-rank product is drawn often, so
+        rank-deficient and zero rows and columns are common."""
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        entry = st.one_of(st.just(0), st.integers(-9, 9))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, min(rows, cols)))
+            left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k,
+                                          max_size=k),
+                                 min_size=rows, max_size=rows))
+            right = draw(st.lists(st.lists(st.integers(-3, 3),
+                                           min_size=cols, max_size=cols),
+                                  min_size=k, max_size=k))
+            data = [[sum(left[i][t] * right[t][j] for t in range(k))
+                     for j in range(cols)] for i in range(rows)]
+        else:
+            data = draw(st.lists(st.lists(entry, min_size=cols,
+                                          max_size=cols),
+                                 min_size=rows, max_size=rows))
+        return IntMatrix(data, cols=cols)
+
+    @PROPERTY
+    @given(int_matrices())
+    def test_snf_properties_match_sympy(a):
+        from sympy.matrices.normalforms import smith_normal_form
+        res = snf(a)
+        assert res.U @ a @ res.V == res.D
+        assert res.D.is_diagonal()
+        assert _is_unimodular(res.U) and _is_unimodular(res.V)
+        diag = res.diagonal
+        assert all(d >= 0 for d in diag)
+        nonzero = [d for d in diag if d != 0]
+        assert diag[:len(nonzero)] == nonzero   # zeros come last
+        assert all(nonzero[i + 1] % nonzero[i] == 0
+                   for i in range(len(nonzero) - 1))
+        oracle = smith_normal_form(sympy.Matrix(a.to_lists()),
+                                   domain=sympy.ZZ)
+        expected = sorted((abs(int(oracle[i, i]))
+                           for i in range(min(a.rows, a.cols))),
+                          key=lambda d: (d == 0, d))
+        assert diag == expected
+
+    @PROPERTY
+    @given(int_matrices())
+    def test_hnf_properties_match_sympy(a):
+        from sympy.matrices.normalforms import hermite_normal_form
+        h, u = hnf(a)
+        assert u @ a == h
+        assert _is_unimodular(u)
+        assert is_hnf(h)
+        ours = [list(row) for row in h.data if any(row)]
+        # sympy's form is column-style: its columns span the column
+        # lattice of a^T, which is the row lattice of a
+        oracle = hermite_normal_form(sympy.Matrix(a.to_lists()).T)
+        theirs = [[int(oracle[i, j]) for i in range(oracle.rows)]
+                  for j in range(oracle.cols)]
+        assert len(ours) == len(theirs)
+        # equal rank and equal index in the saturation, for each lattice
+        # and for their sum, means the two row lattices coincide
+        invariants = _sympy_nonzero_invariants(ours, a.cols)
+        assert invariants == _sympy_nonzero_invariants(theirs, a.cols)
+        assert invariants == _sympy_nonzero_invariants(ours + theirs,
+                                                       a.cols)
+else:
+    def test_normal_form_properties_need_sympy_and_hypothesis():
+        pytest.importorskip("hypothesis")
+        pytest.importorskip("sympy")
