@@ -553,47 +553,61 @@ def classify_order(inp, height_bound=8):
                                                   for vec in b]})
 
 
-def _binary_square_zero_lines(ctx, g1, g2):
+def _square_form(ctx, idx):
+    """Integer quadratic form of x^2 for x = sum_k a_k g_idx[k].
+
+    One row per generator coordinate of x^2 that is not identically zero.
+    A row holds the coefficients of a_0^2, ..., a_{n-1}^2 and then of
+    a_k a_l for k < l, read off the structure constants of the order.  The
+    generators form a basis, so x^2 = 0 exactly when every row vanishes.
+    """
+    table = ctx.ring.table
+    terms = [table[i][i] for i in idx]
+    terms += [tuple(x + y for x, y in zip(table[i][j], table[j][i]))
+              for k, i in enumerate(idx) for j in idx[k + 1:]]
+    rows = []
+    for r in range(len(table)):
+        row = tuple(int(t[r]) for t in terms)
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _binary_square_zero_lines(form):
     """Rational lines where (alpha g1 + beta g2)^2 vanishes.
 
-    Returns (lines, certified): primitive integer direction vectors, and
-    whether the list provably exhausts all square-zero directions.
+    form is the square form of the plane, rows (alpha^2, beta^2,
+    alpha beta).  Returns (lines, certified): primitive integer direction
+    vectors, and whether the list provably exhausts all square-zero
+    directions.
     """
-    a2 = r_multiply(g1, g1, ctx.degrees)
-    c2 = r_multiply(g2, g2, ctx.degrees)
-    cross = _add_vec(r_multiply(g1, g2, ctx.degrees),
-                     r_multiply(g2, g1, ctx.degrees))
-    if all(x == 0 for x in a2) and all(x == 0 for x in c2) and \
-            all(x == 0 for x in cross):
+    if not form:
         return None, False   # the whole plane squares to zero
     lines = []
-    if all(x == 0 for x in a2):
+    if all(a2 == 0 for a2, _, _ in form):
         lines.append((1, 0))
     # solutions with beta != 0, parametrized by tau = alpha/beta:
-    # tau^2 a2 + tau cross + c2 = 0 componentwise
+    # tau^2 a2 + tau cross + c2 = 0 for every row
     taus = None
-    for idx in MASKS:
-        p, r, s = a2[idx], cross[idx], c2[idx]
-        if p == 0 and r == 0 and s == 0:
-            continue
+    for a2, c2, cross in form:
         roots = set()
-        if p == 0:
-            if r != 0:
-                roots.add(Fraction(-s, r))
+        if a2 == 0:
+            if cross != 0:
+                roots.add(Fraction(-c2, cross))
         else:
-            disc = r * r - 4 * p * s
+            disc = cross * cross - 4 * a2 * c2
             if disc >= 0:
                 root = _exact_sqrt(disc)
                 if root is not None:
-                    roots.add(Fraction(-r + root, 2 * p))
-                    roots.add(Fraction(-r - root, 2 * p))
+                    roots.add(Fraction(-cross + root, 2 * a2))
+                    roots.add(Fraction(-cross - root, 2 * a2))
         taus = roots if taus is None else taus & roots
         if not taus:
             break
-    for tau in sorted(taus or ()):
+    for tau in sorted(taus):
         num, den = tau.numerator, tau.denominator
-        if all(num * num * a2[i] + num * den * cross[i] +
-               den * den * c2[i] == 0 for i in MASKS):
+        if all(num * num * a2 + num * den * cross + den * den * c2 == 0
+               for a2, c2, cross in form):
             lines.append((num, den))
     return lines, True
 
@@ -631,9 +645,9 @@ def not_weighted_search(inp, height_bound=8):
 def _search(ctx, height_bound):
     dec = _decompose(ctx)
 
-    gens_by_degree = {}
-    for vec, deg in zip(ctx.gen_vectors, ctx.gen_degrees):
-        gens_by_degree.setdefault(deg, []).append(vec)
+    idx_by_degree = {}
+    for i, deg in enumerate(ctx.gen_degrees):
+        idx_by_degree.setdefault(deg, []).append(i)
 
     l1_cols = dec.l1.basis_columns()
     all_parts = RatMatrix.from_columns(
@@ -646,16 +660,17 @@ def _search(ctx, height_bound):
         return tuple(int(f) for f in x[:3])
 
     def candidates_for_degree(deg):
-        gens = gens_by_degree[deg]
+        idx = idx_by_degree[deg]
+        gens = [ctx.gen_vectors[i] for i in idx]
+        form = _square_form(ctx, idx)
         rank = len(gens)
         found = []
         certified = True
         if rank == 1:
-            g = gens[0]
-            if all(x == 0 for x in r_multiply(g, g, ctx.degrees)):
-                found.append(g)
+            if not form:
+                found.append(gens[0])
         elif rank == 2:
-            lines, certified = _binary_square_zero_lines(ctx, *gens)
+            lines, certified = _binary_square_zero_lines(form)
             if lines is None:
                 certified = False
                 bound = height_bound
@@ -684,13 +699,15 @@ def _search(ctx, height_bound):
                         if key in seen:
                             continue
                         seen.add(key)
+                        if any(p * a * a + q * bb * bb + r * cc * cc +
+                               s * a * bb + t * a * cc + u * bb * cc
+                               for p, q, r, s, t, u in form):
+                            continue
                         vec = _add_vec(
                             _add_vec(_scale_vec(gens[0], Fraction(a)),
                                      _scale_vec(gens[1], Fraction(bb))),
                             _scale_vec(gens[2], Fraction(cc)))
-                        if all(x == 0 for x in
-                               r_multiply(vec, vec, ctx.degrees)):
-                            found.append(vec)
+                        found.append(vec)
         kept = []
         for vec in found:
             img = l1_image(vec)

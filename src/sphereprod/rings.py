@@ -131,15 +131,19 @@ class CoefficientSequence:
 
     @classmethod
     def from_json_obj(cls, obj):
-        table = obj.get("c", obj)
+        from .serialize import _int_from_json
+        table = obj.get("c", obj) if isinstance(obj, dict) else obj
+        if not isinstance(table, dict):
+            raise InvalidCoefficientSequence(
+                "coefficient JSON must be an object of weights")
 
         def get(key, default):
             v = table.get(key)
             if v is None:
                 return default
             try:
-                return int(v)
-            except ValueError:
+                return _int_from_json(v)
+            except (TypeError, ValueError):
                 raise InvalidCoefficientSequence(
                     f"weight {key} is not an integer: {v!r}") from None
         return cls(get("12", 1), get("13", 1), get("23", 1),

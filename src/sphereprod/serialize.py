@@ -22,8 +22,11 @@ def fraction_to_str(x):
 
 
 def fraction_from_str(s):
-    if isinstance(s, int):
-        return Fraction(s)
+    # Fraction() would also take a float's binary expansion and a bool as 0/1
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise TypeError(
+            f"rational entry expected as an integer or a 'p/q' string, "
+            f"got {type(s).__name__}")
     return Fraction(s)
 
 

@@ -1,8 +1,11 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from sphereprod.cli import main
 from sphereprod.errors import NotClosed, NotUnital, WrongRank
 from sphereprod.lattices import column_degree
 from sphereprod.matrices import IntMatrix, RatMatrix, rat_inverse
@@ -11,11 +14,13 @@ from sphereprod.orders import (
     ClassificationResult,
     OrderInput,
     _OrderContext,
+    _square_form,
     ambient_degrees,
     classify_order,
     decompose,
     monomial_order_input,
     not_weighted_search,
+    r_multiply,
     verify_order,
 )
 from sphereprod.rings import (
@@ -307,3 +312,72 @@ def test_classify_reembedded_weighted_two_equal_even_double():
         assert result.outcome == "weighted", (seed, result.report)
         model = build_weighted_ring(result.coefficients, (2, 2, 4))
         assert check_ring_map(result.witness, model, verify_order(inp))
+
+
+def _combination(ctx, idx, coeffs):
+    vec = (Fraction(0),) * 8
+    for i, a in zip(idx, coeffs):
+        vec = tuple(x + a * y for x, y in zip(vec, ctx.gen_vectors[i]))
+    return vec
+
+
+def test_square_form_matches_ambient_square():
+    # the square of x = sum a_k g_k, read off the structure constants, must
+    # equal the coordinates of the ambient product x * x
+    rng = random.Random(8011)
+    orders = [bad3_order()]
+    for degrees in ((2, 2, 2), (4, 4, 4), (3, 3, 3), (2, 2, 5)):
+        for _ in range(2):
+            c = random_coefficients(rng, entry_bound=12)
+            orders.append(embedded_weighted_order(c, degrees, rng=rng))
+    for inp in orders:
+        ctx = _OrderContext(inp)
+        for deg in sorted(set(ctx.gen_degrees)):
+            idx = [i for i, d in enumerate(ctx.gen_degrees) if d == deg]
+            form = _square_form(ctx, idx)
+            # coordinates of x^2 that are not identically zero, found by
+            # polarization in the ambient algebra
+            polar = [ctx.int_coords(r_multiply(ctx.gen_vectors[i],
+                                               ctx.gen_vectors[i],
+                                               inp.degrees)) for i in idx]
+            polar += [ctx.int_coords(tuple(
+                x + y for x, y in zip(
+                    r_multiply(ctx.gen_vectors[i], ctx.gen_vectors[j],
+                               inp.degrees),
+                    r_multiply(ctx.gen_vectors[j], ctx.gen_vectors[i],
+                               inp.degrees))))
+                for k, i in enumerate(idx) for j in idx[k + 1:]]
+            support = [r for r in range(8) if any(p[r] for p in polar)]
+            assert len(form) == len(support), (inp.degrees, deg)
+            for _ in range(25):
+                a = [rng.randint(-9, 9) for _ in idx]
+                monomials = [x * x for x in a] + [
+                    a[k] * a[l] for k in range(len(a))
+                    for l in range(k + 1, len(a))]
+                values = [sum(c * m for c, m in zip(row, monomials))
+                          for row in form]
+                x = _combination(ctx, idx, a)
+                square = ctx.int_coords(r_multiply(x, x, inp.degrees))
+                assert values == [square[r] for r in support], \
+                    (inp.degrees, deg, a)
+
+
+def _pinned_classify_cases():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "classify_all_equal_even.json")
+    with open(path) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case", _pinned_classify_cases(),
+                         ids=lambda case: case["name"])
+def test_classify_all_equal_even_pinned(tmp_path, capsys, case):
+    # full CLI documents of the square-zero search on (e, e, e) orders:
+    # one found weighted basis, one inconclusive report at a small bound
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(case["order"]))
+    argv = ["classify", "--input", str(path)]
+    if case["height_bound"] is not None:
+        argv += ["--height-bound", str(case["height_bound"])]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == case["output"]

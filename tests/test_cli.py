@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sphereprod.cli import main
+from sphereprod.data import load_fixture_json
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,38 @@ def test_alt2_section_malformed_matrix(tmp_path, capsys, matrix):
     assert code == 1
     assert set(out) == {"error", "kind"}
     assert out["kind"] == "InvalidMatrixInput"
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, True],
+                         ids=["float", "integral_float", "bool"])
+def test_classify_rejects_non_exact_vector_entry(tmp_path, capsys, entry):
+    # the x1 entry of the trivial order's degree-3 generator, normally "1"
+    order = load_fixture_json("trivial.json")
+    order["generators"][1]["vector"][1] = entry
+    path = _write(tmp_path, "order.json", json.dumps(order))
+    code, out = run_cli(capsys, "classify", "--input", path)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert out["kind"] == "InvalidOrderInput"
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"c": {"12": 2.7}},
+    {"c": {"12": 2.0}},
+    {"c": {"12": True}},
+    {"c": {"12": [2]}},
+    {"c": {"123": {"value": "2"}}},
+    {"c": ["2", "1", "1"]},
+    ["2", "1", "1"],
+], ids=["float", "integral_float", "bool", "list", "object",
+        "list_of_weights", "top_level_list"])
+def test_realize_rejects_non_integer_weights(tmp_path, capsys, coeffs):
+    path = write_coeffs(tmp_path, coeffs)
+    code, out = run_cli(capsys, "realize", "--degrees", "2,3,4",
+                        "--coeffs", path)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert out["kind"] == "InvalidCoefficientSequence"
 
 
 def test_usage_error_exit_code():

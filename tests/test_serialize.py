@@ -24,6 +24,14 @@ def test_fraction_strings():
     assert fraction_to_str(Fraction(3, 4)) == "3/4"
     assert fraction_from_str("3/4") == Fraction(3, 4)
     assert fraction_from_str("-12") == Fraction(-12)
+    assert fraction_from_str(-12) == Fraction(-12)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False, None, ["1"]])
+def test_fraction_from_str_rejects_non_exact_values(value):
+    # a float would become its binary expansion, a bool 0 or 1
+    with pytest.raises(TypeError):
+        fraction_from_str(value)
 
 
 def test_int_matrix_round_trip():
