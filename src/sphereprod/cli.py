@@ -177,7 +177,9 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify an order given by JSON")
     p.add_argument("--input", required=True)
-    p.add_argument("--height-bound", type=int, default=8)
+    p.add_argument("--height-bound", type=int, default=8,
+                   help="accepted for compatibility and ignored; the "
+                        "square-zero search is exact (must be >= 0)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify",

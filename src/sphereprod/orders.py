@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .alt2 import alt2, alt2_section
 from .errors import (
@@ -109,10 +109,10 @@ class OrderInput:
 
     @classmethod
     def from_json_obj(cls, obj):
-        from .serialize import fraction_from_str
+        from .serialize import _int_from_json, fraction_from_str
         try:
-            degrees = [int(d) for d in obj["degrees"]]
-            generators = [(int(g["degree"]),
+            degrees = [_int_from_json(d) for d in obj["degrees"]]
+            generators = [(_int_from_json(g["degree"]),
                            [fraction_from_str(x) for x in g["vector"]])
                           for g in obj["generators"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -300,7 +300,7 @@ def _decompose(ctx):
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    outcome: str   # "weighted" | "not_weighted_certified" | "inconclusive"
+    outcome: str   # "weighted" | "not_weighted_certified"
     coefficients: CoefficientSequence | None = None
     witness: RingMapWitness | None = None
     case: str = ""
@@ -481,9 +481,10 @@ def _l2_piece_coords(ctx, dec, vectors, degree):
 def classify_order(inp, height_bound=8):
     """Classify an order: weighted model (with witness) or a certificate.
 
-    Degree patterns with a repeated even degree go through the bounded
-    square-zero search; all other patterns follow the three-case basis
-    normalization (with a square repair in the even coincidence degrees).
+    Degree patterns with a repeated even degree go through the square-zero
+    search on the ambient monomial lines; all other patterns follow the
+    three-case basis normalization (with a square repair in the even
+    coincidence degrees).  height_bound is accepted and has no effect.
     """
     ctx = _OrderContext(inp)
     if _repeated_even(inp.degrees):
@@ -573,56 +574,6 @@ def _square_form(ctx, idx):
     return rows
 
 
-def _binary_square_zero_lines(form):
-    """Rational lines where (alpha g1 + beta g2)^2 vanishes.
-
-    form is the square form of the plane, rows (alpha^2, beta^2,
-    alpha beta).  Returns (lines, certified): primitive integer direction
-    vectors, and whether the list provably exhausts all square-zero
-    directions.
-    """
-    if not form:
-        return None, False   # the whole plane squares to zero
-    lines = []
-    if all(a2 == 0 for a2, _, _ in form):
-        lines.append((1, 0))
-    # solutions with beta != 0, parametrized by tau = alpha/beta:
-    # tau^2 a2 + tau cross + c2 = 0 for every row
-    taus = None
-    for a2, c2, cross in form:
-        roots = set()
-        if a2 == 0:
-            if cross != 0:
-                roots.add(Fraction(-c2, cross))
-        else:
-            disc = cross * cross - 4 * a2 * c2
-            if disc >= 0:
-                root = _exact_sqrt(disc)
-                if root is not None:
-                    roots.add(Fraction(-cross + root, 2 * a2))
-                    roots.add(Fraction(-cross - root, 2 * a2))
-        taus = roots if taus is None else taus & roots
-        if not taus:
-            break
-    for tau in sorted(taus):
-        num, den = tau.numerator, tau.denominator
-        if all(num * num * a2 + num * den * cross + den * den * c2 == 0
-               for a2, c2, cross in form):
-            lines.append((num, den))
-    return lines, True
-
-
-def _exact_sqrt(n):
-    """Rational square root of n, or None when n is not a rational square."""
-    n = Fraction(n)
-    if n < 0:
-        return None
-    num, den = isqrt(n.numerator), isqrt(n.denominator)
-    if num * num != n.numerator or den * den != n.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def _canonical_sign(vec):
     for x in vec:
         if x != 0:
@@ -630,24 +581,42 @@ def _canonical_sign(vec):
     return vec
 
 
-def not_weighted_search(inp, height_bound=8):
-    """Bounded search for a square-zero weighted generating set.
+def _line_key(t):
+    """Sort key of the primitive line through t in a candidate list.
 
-    Enumerates primitive square-zero elements of each generator-degree
-    slice; rank-one and rank-two slices are analyzed exactly, so a failed
-    exhaustive list certifies the order is not a weighted model.  Rank-
-    three slices (and all-square-zero planes) fall back to coordinates
-    bounded by height_bound, and failure is then inconclusive.
+    The line's representative has a positive last coordinate, or is the
+    lexicographically smaller of +-t when that coordinate is 0.  Planes
+    list the line (1, 0) first and then lines by ascending alpha/beta;
+    rank-three slices list lines lexicographically by representative.
     """
+    neg = tuple(-x for x in t)
+    if t[-1] < 0 or (t[-1] == 0 and neg < t):
+        t = neg
+    if len(t) == 2:
+        return (t[1] != 0, Fraction(t[0], t[1] or 1))
+    return t
+
+
+def not_weighted_search(inp, height_bound=8):
+    """Square-zero search for a weighted generating set.
+
+    No two ambient monomials of one degree overlap, so an element of an
+    even generator-degree slice squares to zero exactly on the monomial
+    lines, and a rank-one slice is a monomial line.  The primitive points
+    of L1 on those lines are then every candidate, and a failed list
+    certifies the order is not a weighted model.  An odd slice of higher
+    rank squares to zero throughout; orders with one (no repeated even
+    degree) go through the basis normalization of classify_order.
+    height_bound is accepted and has no effect.
+    """
+    adeg = ambient_degrees(inp.degrees)
+    if any(d % 2 and adeg.count(d) > 1 for d in inp.degrees):
+        return classify_order(inp, height_bound)
     return _search(_OrderContext(inp), height_bound)
 
 
 def _search(ctx, height_bound):
     dec = _decompose(ctx)
-
-    idx_by_degree = {}
-    for i, deg in enumerate(ctx.gen_degrees):
-        idx_by_degree.setdefault(deg, []).append(i)
 
     l1_cols = dec.l1.basis_columns()
     all_parts = RatMatrix.from_columns(
@@ -660,77 +629,25 @@ def _search(ctx, height_bound):
         return tuple(int(f) for f in x[:3])
 
     def candidates_for_degree(deg):
-        idx = idx_by_degree[deg]
-        gens = [ctx.gen_vectors[i] for i in idx]
-        form = _square_form(ctx, idx)
-        rank = len(gens)
+        masks, gens, num, _ = next(block for block in ctx._blocks
+                                   if ctx.adeg[block[0][0]] == deg)
+        # column j of the block inverse: generator coordinates of x_masks[j]
+        lines = []
+        for j in range(len(masks)):
+            col = [row[j] for row in num]
+            g = gcd(*col)
+            lines.append(tuple(x // g for x in col))
         found = []
-        certified = True
-        if rank == 1:
-            if not form:
-                found.append(gens[0])
-        elif rank == 2:
-            lines, certified = _binary_square_zero_lines(form)
-            if lines is None:
-                certified = False
-                bound = height_bound
-                for a in range(-bound, bound + 1):
-                    for bb in range(bound + 1):
-                        if gcd(a, bb) != 1:
-                            continue
-                        vec = _add_vec(_scale_vec(gens[0], Fraction(a)),
-                                       _scale_vec(gens[1], Fraction(bb)))
-                        found.append(vec)
-            else:
-                for (a, bb) in lines:
-                    vec = _add_vec(_scale_vec(gens[0], Fraction(a)),
-                                   _scale_vec(gens[1], Fraction(bb)))
-                    found.append(vec)
-        else:
-            certified = False
-            bound = height_bound
-            seen = set()
-            for a in range(-bound, bound + 1):
-                for bb in range(-bound, bound + 1):
-                    for cc in range(bound + 1):
-                        if gcd(gcd(a, bb), cc) != 1:
-                            continue
-                        key = _canonical_sign((a, bb, cc))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        if any(p * a * a + q * bb * bb + r * cc * cc +
-                               s * a * bb + t * a * cc + u * bb * cc
-                               for p, q, r, s, t, u in form):
-                            continue
-                        vec = _add_vec(
-                            _add_vec(_scale_vec(gens[0], Fraction(a)),
-                                     _scale_vec(gens[1], Fraction(bb))),
-                            _scale_vec(gens[2], Fraction(cc)))
-                        found.append(vec)
-        kept = []
-        for vec in found:
+        for t in sorted(lines, key=_line_key):
+            vec = tuple(sum(a * ctx.gen_vectors[i][m]
+                            for a, i in zip(t, gens)) for m in MASKS)
             img = l1_image(vec)
-            if img is None:
-                continue
-            g = 0
-            for x in img:
-                g = gcd(g, x)
-            if g == 1:
-                kept.append(_canonical_sign(vec))
-        deduped = []
-        for vec in kept:
-            if vec not in deduped:
-                deduped.append(vec)
-        return deduped, certified
+            if img is not None and gcd(*img) == 1:
+                found.append(_canonical_sign(vec))
+        return found
 
     degree_values = sorted(set(ctx.degrees))
-    candidates = {}
-    certified_all = True
-    for deg in degree_values:
-        cands, certified = candidates_for_degree(deg)
-        candidates[deg] = cands
-        certified_all = certified_all and certified
+    candidates = {deg: candidates_for_degree(deg) for deg in degree_values}
 
     failures = []
     import itertools
@@ -761,11 +678,10 @@ def _search(ctx, height_bound):
             for deg in degree_values},
         "failures": failures,
         "height_bound": height_bound,
-        "exhaustive": certified_all,
+        "exhaustive": True,
     }
-    outcome = "not_weighted_certified" if certified_all else "inconclusive"
-    return ClassificationResult(outcome=outcome, case="search",
-                                report=report)
+    return ClassificationResult(outcome="not_weighted_certified",
+                                case="search", report=report)
 
 
 def _with_signs(vectors):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -34,6 +36,7 @@ from util import (
     embedded_weighted_order,
     random_admissible_degrees,
     random_coefficients,
+    random_unplanted_order,
     square_obstructed_order,
 )
 
@@ -362,6 +365,56 @@ def test_square_form_matches_ambient_square():
                     (inp.degrees, deg, a)
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_unplanted_even_orders_decided_by_monomial_lines(degree):
+    # orders that are not weighted models by construction: the search must
+    # decide them, its candidates must square to zero on the structure
+    # constants, and every small square-zero element must be listed
+    rng = random.Random(8100 + degree)
+    for _ in range(6):
+        inp = random_unplanted_order(rng, degree)
+        result = classify_order(inp)
+        assert result.outcome in ("weighted", "not_weighted_certified")
+        if result.is_weighted:
+            listed = [tuple(Fraction(x) for x in vec)
+                      for vec in result.report["basis"]]
+        else:
+            assert result.report["exhaustive"] is True
+            listed = [tuple(Fraction(x) for x in vec) for vec in
+                      result.report["candidates_by_degree"][str(degree)]]
+        ctx = _OrderContext(inp)
+        idx = [i for i, d in enumerate(ctx.gen_degrees) if d == degree]
+        form = _square_form(ctx, idx)
+        for vec in listed:
+            a = [ctx.int_coords(vec)[i] for i in idx]
+            monomials = [x * x for x in a] + [
+                a[k] * a[l] for k in range(3) for l in range(k + 1, 3)]
+            assert all(sum(c * m for c, m in zip(row, monomials)) == 0
+                       for row in form)
+        listed = set(listed) | {tuple(-x for x in v) for v in listed}
+        for a in itertools.product(range(-4, 5), repeat=3):
+            if math.gcd(*a) != 1:
+                continue
+            x = _combination(ctx, idx, a)
+            if not any(r_multiply(x, x, inp.degrees)):
+                assert x in listed, (inp.to_json_obj(), a)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_unplanted_odd_orders_are_weighted(degree):
+    # the paper's theorem: with odd generators every order is realizable
+    rng = random.Random(8200 + degree)
+    for _ in range(6):
+        inp = random_unplanted_order(rng, degree)
+        ring = verify_order(inp)
+        # every element of an odd rank-3 slice squares to zero, so the
+        # search alone must not certify these orders
+        for result in (classify_order(inp), not_weighted_search(inp)):
+            assert result.is_weighted, result.report
+            model = build_weighted_ring(result.coefficients, inp.degrees)
+            assert check_ring_map(result.witness, model, ring)
+
+
 def _pinned_classify_cases():
     path = os.path.join(os.path.dirname(__file__), "data",
                         "classify_all_equal_even.json")
@@ -373,7 +426,8 @@ def _pinned_classify_cases():
                          ids=lambda case: case["name"])
 def test_classify_all_equal_even_pinned(tmp_path, capsys, case):
     # full CLI documents of the square-zero search on (e, e, e) orders:
-    # one found weighted basis, one inconclusive report at a small bound
+    # weighted bases, found with and without a --height-bound, and one
+    # exhaustive certificate for an order that is not a weighted model
     path = tmp_path / "order.json"
     path.write_text(json.dumps(case["order"]))
     argv = ["classify", "--input", str(path)]

@@ -169,6 +169,28 @@ def test_classify_rejects_non_exact_vector_entry(tmp_path, capsys, entry):
     assert out["kind"] == "InvalidOrderInput"
 
 
+@pytest.mark.parametrize("generator, value", [
+    (None, [3.9, 3, 3]),
+    (1, 3.5),
+    (None, [True, 3, 3]),
+    (0, False),
+], ids=["float_degree", "float_generator_degree", "bool_degree",
+        "bool_generator_degree"])
+def test_classify_rejects_non_integer_degree(tmp_path, capsys, generator,
+                                             value):
+    # int() would read 3.9 as 3, true as 1 and false as the unit's degree 0
+    order = load_fixture_json("trivial.json")
+    if generator is None:
+        order["degrees"] = value
+    else:
+        order["generators"][generator]["degree"] = value
+    path = _write(tmp_path, "order.json", json.dumps(order))
+    code, out = run_cli(capsys, "classify", "--input", path)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert out["kind"] == "InvalidOrderInput"
+
+
 @pytest.mark.parametrize("coeffs", [
     {"c": {"12": 2.7}},
     {"c": {"12": 2.0}},

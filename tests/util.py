@@ -1,15 +1,21 @@
 """Shared helpers: fixture orders, re-embeddings, and brute-force oracles."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from sphereprod.chains import ChainComplex
-from sphereprod.matrices import IntMatrix, rat_rank
+from sphereprod.matrices import IntMatrix, rat_inverse, rat_rank
 from sphereprod.normal_forms import (
     elementary_divisors_via_minors,
+    hnf,
     integer_kernel_basis,
 )
-from sphereprod.orders import OrderGenerator, OrderInput, ambient_degrees
+from sphereprod.orders import (
+    OrderGenerator,
+    OrderInput,
+    ambient_degrees,
+    r_multiply,
+)
 from sphereprod.rings import CoefficientSequence, weighted_basis_masks
 
 
@@ -95,6 +101,46 @@ def embedded_weighted_order(coeffs, degrees, rng=None, bound=5):
         vectors = new_vectors
     gens = [OrderGenerator(deg, tuple(vec))
             for deg, vec in zip(gen_degrees, vectors)]
+    return OrderInput(degrees, gens)
+
+
+def random_unplanted_order(rng, degree, bound=3):
+    """Order with degrees (d, d, d) that is not a weighted model by
+    construction: L1 is a random nonsingular integer lattice on x1, x2, x3,
+    L2 a random superlattice of the Z-span of every product in L1 * L1
+    (squares included), and L3 the Z-span of L1 * L2."""
+    degrees = (degree,) * 3
+
+    def vector(entries):
+        vec = [Fraction(0)] * 8
+        for mask, x in entries:
+            vec[mask] = Fraction(x)
+        return tuple(vec)
+
+    while True:
+        m = IntMatrix([[rng.randint(-bound, bound) for _ in range(3)]
+                       for _ in range(3)])
+        if m.det():
+            break
+    singles, pairs = (1, 2, 4), (3, 5, 6)
+    l1 = [vector(zip(singles, col)) for col in m.transpose().data]
+    span = IntMatrix([[int(p[k]) for k in pairs] for p in
+                      (r_multiply(u, v, degrees) for u in l1 for v in l1)])
+    basis = [row for row in hnf(span)[0].data if any(row)]
+    # a superlattice C of the span B satisfies B = S C with S integral
+    while True:
+        s = IntMatrix([[rng.randint(1, 2) if i == j else rng.randint(-2, 2)
+                        for j in range(3)] for i in range(3)])
+        if s.det():
+            break
+    c = rat_inverse(s.to_rational()) @ IntMatrix(basis)
+    l2 = [vector(zip(pairs, row)) for row in c.data]
+    tops = [r_multiply(u, v, degrees)[7] for u in l1 for v in l2]
+    den = lcm(*(x.denominator for x in tops))
+    top = Fraction(gcd(*(int(x * den) for x in tops)), den)
+    gens = ([(0, vector([(0, 1)]))] + [(degree, v) for v in l1]
+            + [(2 * degree, v) for v in l2]
+            + [(3 * degree, vector([(7, top)]))])
     return OrderInput(degrees, gens)
 
 
