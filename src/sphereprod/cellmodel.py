@@ -283,17 +283,18 @@ def build_comparison_chain_map(degrees, coeffs):
     return ChainMap(source, target, mats, check=True)
 
 
-def top_cycles(degrees, coeffs):
+def top_cycles(degrees, coeffs, comparison=None):
     """The canonical top-degree cycles of the two models.
 
     Returns (u, v) as coordinate vectors in degree d1+d2+d3-1 of the
-    unweighted and weighted complexes respectively.
+    unweighted and weighted complexes respectively, which are read from
+    the comparison map (built when not given).
     """
     _check_degrees(degrees)
     d1, d2, _ = degrees
     ell = coeffs.lcm_pairwise
-    source = build_unweighted_boundary_complex(degrees)
-    target = build_boundary_complex(degrees, coeffs)
+    cm = comparison or build_comparison_chain_map(degrees, coeffs)
+    source, target = cm.source, cm.target
     top = sum(degrees) - 1
 
     u_terms = {"y1*y2*x3": (-1) ** (d1 + d2),
@@ -368,7 +369,7 @@ def build_face_square(degrees, coeffs):
 def top_comparison_multiplier(degrees, coeffs, comparison=None):
     """Integer m with [comparison(u)] = m [v] in top-degree homology."""
     cm = comparison or build_comparison_chain_map(degrees, coeffs)
-    u, v = top_cycles(degrees, coeffs)
+    u, v = top_cycles(degrees, coeffs, cm)
     top = sum(degrees) - 1
     ht = cm.target.homology()
     image_class = ht.class_vector(top, cm.apply(top, u))

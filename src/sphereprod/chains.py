@@ -1,9 +1,11 @@
 """Finitely generated free Z-chain complexes and their homology.
 
 Complexes are bounded below at degree 0 and above by a declared top degree.
-Homology is computed from Smith normal forms; the generator choice is
-deterministic given the input ordering, and published representatives are
-reduced modulo boundaries via the Hermite form of the boundary image.
+Homology is computed from Smith normal forms over the integers alone: the
+transform of one Smith form per degree gives both the cycle lattice and the
+coordinates of a cycle in it.  The generator choice is deterministic given
+the input ordering, and published representatives are reduced modulo
+boundaries via the Hermite form of the boundary image.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .errors import (
     NotACycle,
     NotSplitInclusion,
 )
-from .matrices import IntMatrix, rat_solve, int_inverse_unimodular
-from .normal_forms import hnf, snf, integer_kernel_basis
+from .matrices import IntMatrix, int_inverse_unimodular
+from .normal_forms import hnf, snf
 
 
 class ChainComplex:
@@ -25,7 +27,7 @@ class ChainComplex:
     indexed by the degree-(n-1) generators.
     """
 
-    __slots__ = ("_labels", "_boundaries", "top_degree")
+    __slots__ = ("_labels", "_boundaries", "top_degree", "_homology")
 
     def __init__(self, labels, boundaries, check=True):
         labels = {int(n): tuple(names) for n, names in labels.items()
@@ -46,6 +48,7 @@ class ChainComplex:
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_boundaries", cleaned)
         object.__setattr__(self, "top_degree", top)
+        object.__setattr__(self, "_homology", None)
         if check:
             self._check_square_zero()
 
@@ -112,7 +115,11 @@ class ChainComplex:
         return ChainComplex(labels, boundaries, check=False)
 
     def homology(self):
-        return HomologyResult(self)
+        """The complex's homology, computed on first use and then shared,
+        so every caller reuses the same per-degree Smith forms."""
+        if self._homology is None:
+            object.__setattr__(self, "_homology", HomologyResult(self))
+        return self._homology
 
     def __repr__(self):
         dims = {n: self.dim(n) for n in self.degrees()}
@@ -183,14 +190,14 @@ class ChainMap:
 
 
 class _DegreeHomology:
-    __slots__ = ("kernel", "uinv", "u", "orders", "gen_indices",
+    __slots__ = ("kernel", "coords", "u", "orders", "gen_indices",
                  "free_rank", "torsion", "representatives")
 
-    def __init__(self, kernel, u, uinv, orders, gen_indices, free_rank,
+    def __init__(self, kernel, coords, u, orders, gen_indices, free_rank,
                  torsion, representatives):
         self.kernel = kernel
+        self.coords = coords
         self.u = u
-        self.uinv = uinv
         self.orders = orders
         self.gen_indices = gen_indices
         self.free_rank = free_rank
@@ -219,25 +226,25 @@ class HomologyResult:
         c = self._complex
         dim = c.dim(n)
         if dim == 0:
-            data = _DegreeHomology(IntMatrix.zeros(0, 0), None, None, [],
-                                   [], 0, [], [])
+            data = _DegreeHomology(IntMatrix.zeros(0, 0),
+                                   IntMatrix.zeros(0, 0), None, [], [], 0,
+                                   [], [])
             self._cache[n] = data
             return data
         bn = c.boundary(n)
         bnext = c.boundary(n + 1)
-        kernel_cols = integer_kernel_basis(bn)
-        r = len(kernel_cols)
-        kernel = IntMatrix.from_columns(kernel_cols, rows=dim)
-        # image coordinates in the kernel basis; integral because the
-        # kernel lattice is saturated
-        w_cols = []
-        for j in range(bnext.cols):
-            col = bnext.column(j)
-            x = rat_solve(kernel.to_rational(), col)
-            if x is None or any(v.denominator != 1 for v in x):
-                raise NotAComplex("boundary image escapes the cycle lattice")
-            w_cols.append(tuple(int(v) for v in x))
-        w = IntMatrix.from_columns(w_cols, rows=r)
+        # U @ d_n @ V = D: the columns of V past the rank span the saturated
+        # cycle lattice, and the same rows of V^-1 map a cycle to its
+        # coordinates in that basis
+        smith = snf(bn)
+        rank = smith.rank
+        kernel = smith.V.submatrix(range(dim), range(rank, dim))
+        coords = int_inverse_unimodular(smith.V).submatrix(range(rank, dim),
+                                                            range(dim))
+        r = dim - rank
+        w = coords @ bnext
+        if kernel @ w != bnext:
+            raise NotAComplex("boundary image escapes the cycle lattice")
         res = snf(w)
         s = res.rank
         diag = res.diagonal
@@ -259,7 +266,7 @@ class HomologyResult:
                     vec = [a - q * b for a, b in zip(vec, row)]
             reps.append(tuple(vec))
         torsion = [orders[i] for i in range(r) if orders[i] > 1]
-        data = _DegreeHomology(kernel, res.U, uinv, orders, gen_indices,
+        data = _DegreeHomology(kernel, coords, res.U, orders, gen_indices,
                                r - s, torsion, reps)
         self._cache[n] = data
         return data
@@ -285,18 +292,17 @@ class HomologyResult:
 
         Torsion coordinates are reduced into [0, order).
         """
-        c = self._complex
-        if len(chain) != c.dim(n):
+        if len(chain) != self._complex.dim(n):
             raise DimensionMismatch("chain has wrong length")
-        if any(x != 0 for x in c.boundary(n).mul_vector(chain)):
-            raise NotACycle("chain is not a cycle")
         data = self._degree_data(n)
+        # the kernel basis recovers the chain from its coordinates exactly
+        # when the chain is a cycle
+        x = data.coords.mul_vector(chain)
+        if data.kernel.mul_vector(x) != tuple(chain):
+            raise NotACycle("chain is not a cycle")
         if not data.gen_indices:
             return ()
-        x = rat_solve(data.kernel.to_rational(), chain)
-        if x is None or any(v.denominator != 1 for v in x):
-            raise NotACycle("cycle lies outside the kernel lattice")
-        y = data.u.mul_vector([int(v) for v in x])
+        y = data.u.mul_vector(x)
         out = []
         for i in data.gen_indices:
             if data.orders[i] > 1:

@@ -87,8 +87,8 @@ def cmd_homology(args):
             "induced_top_matrix": int_matrix_to_obj(
                 induced_on_homology(cm, top)),
         }
-    u, v = top_cycles(degrees, coeffs)
     cm = build_comparison_chain_map(degrees, coeffs)
+    u, v = top_cycles(degrees, coeffs, cm)
     top = sum(degrees) - 1
     return {
         "top_degree": top,

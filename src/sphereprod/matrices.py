@@ -3,11 +3,15 @@
 Entries are Python ints (arbitrary precision) or fractions.Fraction (always
 in lowest terms with positive denominator), so no operation ever overflows
 or rounds.  Matrices are immutable; algorithms copy the entries into lists,
-mutate those, and wrap the result.
+mutate those, and wrap the result.  Every public constructor validates each
+entry; results of operations that cannot leave the entry type (identity,
+zeros, transpose, an integer product) skip that check.
 
 All rational elimination (rank, solve, inverse, kernel and determinant)
-goes through the single Gauss-Jordan routine ``_gauss_jordan``; the
-integer determinant uses fraction-free Bareiss elimination.
+goes through the single Gauss-Jordan routine ``_gauss_jordan``.  Integer
+algorithms stay fraction-free: the determinant uses Bareiss elimination,
+and the inverse of a unimodular matrix is the transform of its Hermite
+form.
 """
 
 from __future__ import annotations
@@ -42,16 +46,29 @@ class _Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _trusted(cls, data, cols):
+        """Wrap a tuple of equal-length row tuples whose entries already
+        have the class's entry type, without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = cls._one, cls._zero
+        return cls._trusted(tuple(tuple(one if i == j else zero
+                                        for j in range(n)) for i in range(n)),
+                            n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(((cls._zero,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -83,8 +100,8 @@ class _Matrix:
         return [list(row) for row in self.data]
 
     def transpose(self):
-        return type(self)([[self.data[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)], cols=self.rows)
+        return self._trusted(tuple(zip(*self.data)) if self.rows else
+                             ((),) * self.cols, self.rows)
 
     def __matmul__(self, other):
         """Matrix product; an integer and a rational factor give a
@@ -92,10 +109,13 @@ class _Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        cls = type(self) if type(other) is type(self) else RatMatrix
         ot = other.transpose().data
-        return cls([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                    for row in self.data], cols=other.cols)
+        data = [[sum(a * b for a, b in zip(row, col)) for col in ot]
+                for row in self.data]
+        if type(self) is IntMatrix and type(other) is IntMatrix:
+            return IntMatrix._trusted(tuple(map(tuple, data)), other.cols)
+        cls = type(self) if type(other) is type(self) else RatMatrix
+        return cls(data, cols=other.cols)
 
     def mul_vector(self, v):
         if len(v) != self.cols:
@@ -133,7 +153,7 @@ class IntMatrix(_Matrix):
     """Immutable dense matrix with integer entries."""
 
     __slots__ = ()
-    _zero = 0
+    _zero, _one = 0, 1
     _coerce = staticmethod(_check_int)
 
     def __add__(self, other):
@@ -209,17 +229,8 @@ class RatMatrix(_Matrix):
     """Immutable dense matrix with rational entries."""
 
     __slots__ = ()
-    _zero = Fraction(0)
+    _zero, _one = Fraction(0), Fraction(1)
     _coerce = staticmethod(_check_frac)
-
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
-
-    def to_int(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.data],
-                         cols=self.cols)
 
     def det(self):
         if self.rows != self.cols:
@@ -313,11 +324,19 @@ def rat_inverse(matrix):
 
 
 def int_inverse_unimodular(matrix):
-    """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = rat_inverse(matrix.to_rational())
-    if not inv.is_integral():
-        raise SingularInput("matrix is not unimodular")
-    return inv.to_int()
+    """Inverse of a unimodular integer matrix, returned over the integers.
+
+    The Hermite form of a unimodular matrix is the identity, so the
+    transform U of U @ A = H is the inverse (Kannan & Bachem 1979).
+    """
+    from .normal_forms import hnf
+    if matrix.rows != matrix.cols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    h, u = hnf(matrix)
+    if h != IntMatrix.identity(matrix.rows):
+        raise SingularInput("matrix is singular" if not any(h.data[-1])
+                            else "matrix is not unimodular")
+    return u
 
 
 def rat_kernel_basis(matrix):

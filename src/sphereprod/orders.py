@@ -25,7 +25,8 @@ from .errors import (
 )
 from .lattices import Lattice, column_degree, intersect_subspace, \
     split_complement
-from .matrices import IntMatrix, RatMatrix, rat_inverse, rat_solve
+from .matrices import IntMatrix, RatMatrix, int_inverse_unimodular, \
+    rat_inverse, rat_solve
 from .normal_forms import snf, snf_constrained_sl
 from .rings import (
     CoefficientSequence,
@@ -618,15 +619,21 @@ def not_weighted_search(inp, height_bound=8):
 def _search(ctx, height_bound):
     dec = _decompose(ctx)
 
-    l1_cols = dec.l1.basis_columns()
-    all_parts = RatMatrix.from_columns(
-        l1_cols + dec.l2.basis_columns() + dec.l3.basis_columns(), rows=8)
+    # L1, L2, L3 and the unit are a Z-basis of the order, so the matrix of
+    # their generator coordinates is unimodular, and its inverse maps the
+    # generator coordinates of a vector to its coordinates in the parts
+    parts = [ctx.int_coords(v) for v in dec.l1.basis_columns()
+             + dec.l2.basis_columns() + dec.l3.basis_columns() + [dec.unit]]
+    if None in parts:
+        raise InternalCheckFailed("decomposition leaves the order")
+    to_parts = int_inverse_unimodular(IntMatrix.from_columns(parts, rows=8))
 
     def l1_image(vector):
-        x = rat_solve(all_parts, vector)
-        if x is None or any(f.denominator != 1 for f in x):
+        coords = ctx.int_coords(vector)
+        if coords is None:
             return None
-        return tuple(int(f) for f in x[:3])
+        x = to_parts.mul_vector(coords)
+        return None if x[7] else x[:3]
 
     def candidates_for_degree(deg):
         masks, gens, num, _ = next(block for block in ctx._blocks

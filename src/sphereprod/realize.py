@@ -148,8 +148,7 @@ def realize_ring(coeffs, degrees, verify=True):
     _check_degrees(degrees)
     chase = les_top_degree_check(coeffs, degrees)
     base = ring_of_weighted_product(coeffs, degrees)
-    factor = Fraction(coeffs.c123,
-                      coeffs.c12 * coeffs.c23 * coeffs.c13)
+    pairwise_product = coeffs.c12 * coeffs.c23 * coeffs.c13
 
     masks = weighted_basis_masks(degrees)
     n = len(masks)
@@ -161,10 +160,12 @@ def realize_ring(coeffs, degrees, verify=True):
             if (masks[p] | masks[q] == FULL_MASK
                     and not masks[p] & masks[q]
                     and masks[p] != 0 and masks[q] != 0):
-                cell = tuple(x * factor for x in cell)
-                if any(x.denominator != 1 for x in cell):
+                scaled = [divmod(x * coeffs.c123, pairwise_product)
+                          for x in cell]
+                if any(r for _, r in scaled):
                     raise InternalCheckFailed(
                         "rescaled top constant is not integral")
+                cell = tuple(quot for quot, _ in scaled)
             row.append(cell)
         table.append(row)
     ring = StructRing(base.labels, base.degrees, table,
@@ -183,5 +184,6 @@ def realize_ring(coeffs, degrees, verify=True):
         verified = True
 
     provenance = dict(chase)
-    provenance["top_rescale_factor"] = factor
+    provenance["top_rescale_factor"] = Fraction(coeffs.c123,
+                                                pairwise_product)
     return RealizedRing(ring=ring, provenance=provenance, verified=verified)

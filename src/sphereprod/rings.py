@@ -150,11 +150,23 @@ class CoefficientSequence:
                    get("123", None))
 
 
+def _integral_cell(cell):
+    """A table cell as a tuple of ints; a Fraction must have denominator 1."""
+    cell = tuple(cell)
+    if all(type(x) is int for x in cell):
+        return cell
+    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction))
+           or x.denominator != 1 for x in cell):
+        raise ValueError(f"structure constants {cell} are not integers")
+    return tuple(int(x) for x in cell)
+
+
 class StructRing:
-    """Finitely generated free graded ring with exact structure constants.
+    """Finitely generated free graded ring with integer structure constants.
 
     ``table[p][q]`` holds the coordinates of basis[p] * basis[q] in the
-    basis, as a tuple of Fractions.
+    basis, as a tuple of ints.  The constructor accepts ints and Fractions
+    with denominator 1 and raises ValueError on any other constant.
     """
 
     __slots__ = ("labels", "degrees", "unit_index", "table")
@@ -171,7 +183,7 @@ class StructRing:
                 raise ValueError("unit index is ambiguous; pass unit_index")
             unit_index = zeros[0]
         table = tuple(
-            tuple(tuple(Fraction(x) for x in cell) for cell in row)
+            tuple(map(_integral_cell, row))
             for row in table)
         if len(table) != n or any(len(row) != n for row in table) or any(
                 len(cell) != n for row in table for cell in row):
@@ -193,7 +205,7 @@ class StructRing:
         n = self.dim
         if len(u) != n or len(v) != n:
             raise DimensionMismatch("coordinate vector has wrong length")
-        out = [Fraction(0)] * n
+        out = [0] * n
         for p, up in enumerate(u):
             if up == 0:
                 continue
@@ -207,7 +219,7 @@ class StructRing:
         return tuple(out)
 
     def unit_vector(self):
-        return tuple(Fraction(1) if i == self.unit_index else Fraction(0)
+        return tuple(1 if i == self.unit_index else 0
                      for i in range(self.dim))
 
     def degree_indices(self):
@@ -247,7 +259,7 @@ def build_weighted_ring(coeffs, degrees):
     table = [[None] * n for _ in range(n)]
     for p, mp in enumerate(masks):
         for q, mq in enumerate(masks):
-            cell = [Fraction(0)] * n
+            cell = [0] * n
             if not mp & mq:
                 union = mp | mq
                 num = coeffs.value(union)
@@ -255,8 +267,8 @@ def build_weighted_ring(coeffs, degrees):
                 if num % den != 0:
                     raise InvalidCoefficientSequence(
                         "divisibility law violated")
-                cell[index[union]] = Fraction(
-                    sign_of_product(mp, mq, degrees) * (num // den))
+                cell[index[union]] = \
+                    sign_of_product(mp, mq, degrees) * (num // den)
             table[p][q] = tuple(cell)
     return StructRing(labels, degs, table, unit_index=index[0])
 

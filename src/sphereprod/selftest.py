@@ -125,7 +125,7 @@ def check_top_cycles():
     c = CoefficientSequence(2, 2, 1, 8)
     d = (2, 2, 3)
     cm = build_comparison_chain_map(d, c)
-    u, v = top_cycles(d, c)
+    u, v = top_cycles(d, c, cm)
     top = sum(d) - 1
     assert all(x == 0 for x in cm.source.boundary(top).mul_vector(u))
     assert all(x == 0 for x in cm.target.boundary(top).mul_vector(v))

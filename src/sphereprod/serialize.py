@@ -15,6 +15,8 @@ from .matrices import IntMatrix, RatMatrix
 
 
 def fraction_to_str(x):
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

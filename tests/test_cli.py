@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -225,3 +226,25 @@ def test_deterministic_output(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _pinned_model_cases():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "model_pinned.json")
+    with open(path) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case", _pinned_model_cases(),
+                         ids=lambda case: case["name"])
+def test_model_commands_pinned(tmp_path, capsys, case):
+    # full standard output, byte for byte, of homology (boundary, eta,
+    # generators), realize --verify and verify --degrees/--coeffs at six
+    # grid points: mixed odd and even degrees, c123 above the lcm of the
+    # pairwise weights, and all-ones weights
+    coeffs = write_coeffs(tmp_path, case["coeffs"])
+    command = case["command"]
+    argv = command[:1] + ["--degrees", case["degrees"],
+                          "--coeffs", coeffs] + command[1:]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == case["stdout"]

@@ -9,10 +9,11 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st
 
-from sphereprod.errors import SingularInput
+from sphereprod.errors import DimensionMismatch, SingularInput
 from sphereprod.matrices import (
     IntMatrix,
     RatMatrix,
+    int_inverse_unimodular,
     rat_inverse,
     rat_kernel_basis,
     rat_rank,
@@ -130,3 +131,61 @@ def test_kernel_basis_spans_nullspace(a):
         assert all(x == 0 for x in a.mul_vector(v))
     if basis:
         assert rat_rank(RatMatrix.from_columns(basis)) == len(basis)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer matrices: row additions, swaps and
+    sign flips applied to the identity."""
+    n = draw(st.integers(0, 6))
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if n:
+        ops = draw(st.lists(st.tuples(st.sampled_from("asn"),
+                                      st.integers(0, n - 1),
+                                      st.integers(0, n - 1),
+                                      st.integers(-3, 3)), max_size=15))
+        for kind, i, j, a in ops:
+            if kind == "a" and i != j:
+                m[i] = [x + a * y for x, y in zip(m[i], m[j])]
+            elif kind == "s":
+                m[i], m[j] = m[j], m[i]
+            elif kind == "n":
+                m[i] = [-x for x in m[i]]
+    return IntMatrix(m, cols=n)
+
+
+@SETTINGS
+@given(unimodular_matrices())
+def test_int_inverse_unimodular_matches_sympy(a):
+    inv = int_inverse_unimodular(a)
+    assert all(type(x) is int for row in inv.data for x in row)
+    assert a @ inv == IntMatrix.identity(a.rows)
+    if a.rows:
+        expected = sympy.Matrix(a.to_lists()).inv()
+        assert inv.to_lists() == [[int(expected[i, j])
+                                   for j in range(a.cols)]
+                                  for i in range(a.rows)]
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_int_inverse_unimodular_rejects_other_matrices(rows):
+    a = IntMatrix(rows)
+    if abs(int(sympy.Matrix(rows).det())) == 1:
+        assert a @ int_inverse_unimodular(a) == IntMatrix.identity(a.rows)
+        return
+    with pytest.raises(SingularInput):
+        int_inverse_unimodular(a)
+
+
+def test_int_inverse_unimodular_examples():
+    with pytest.raises(SingularInput, match="singular"):
+        int_inverse_unimodular(IntMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(SingularInput, match="not unimodular"):
+        int_inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(DimensionMismatch):
+        int_inverse_unimodular(IntMatrix([[1, 0]]))
+    assert int_inverse_unimodular(IntMatrix([[2, 1], [1, 1]])) == \
+        IntMatrix([[1, -1], [-1, 2]])
