@@ -39,6 +39,39 @@ from .serialize import (
 )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, one join per container.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, one
+    generator step per token; this builds the same text from the C string
+    encoder.  Dict keys must be strings, as in every document the CLI
+    prints.  ``indent`` is the newline plus the indentation of ``obj``.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        try:
+            # a list of strings, such as a matrix row, in one C-level pass
+            items = list(map(_encode_str, obj))
+        except TypeError:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _dumps(v, inner)
+             for k, v in sorted(obj.items())]) + indent + "}"
+    return json.dumps(obj)
+
+
 def _parse_degrees(text):
     try:
         parts = [int(x) for x in text.split(",")]
@@ -56,12 +89,16 @@ def _load_json_file(path):
             return load_fixture_json(os.path.basename(path))
         except FileNotFoundError:
             raise SphereProdError(f"input file not found: {path}")
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SphereProdError(f"input file is not valid JSON: {path}: "
-                                  f"{exc}")
+    except json.JSONDecodeError as exc:
+        raise SphereProdError(f"input file is not valid JSON: {path}: {exc}")
+    except UnicodeDecodeError:
+        raise SphereProdError(f"input file is not UTF-8 text: {path}")
+    except OSError as exc:
+        raise SphereProdError(f"cannot read input file: {path}: "
+                              f"{exc.strerror}")
 
 
 def _load_coeffs(path):
@@ -199,16 +236,20 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         out = args.func(args)
     except SphereProdError as exc:
-        print(json.dumps({"error": str(exc),
-                          "kind": type(exc).__name__}, indent=2))
+        print(_dumps({"error": str(exc), "kind": type(exc).__name__}))
         return 1
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(_dumps(out))
     if args.command == "selftest" and not out["ok"]:
         return 1
     return 0

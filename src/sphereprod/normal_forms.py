@@ -16,6 +16,12 @@ from .errors import DimensionMismatch, SingularInput
 from .matrices import IntMatrix
 
 
+def _int_matrix(rows, cols):
+    """Wrap working rows without checking their entries again: they are
+    ints, from integer row and column operations on a validated matrix."""
+    return IntMatrix._trusted(tuple(map(tuple, rows)), cols)
+
+
 def xgcd(a, b):
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
     old_r, r = a, b
@@ -69,6 +75,9 @@ def hnf(matrix):
     Returns (H, U) with U unimodular and U @ A = H.  Applying hnf to a
     matrix already in Hermite form returns it unchanged with U = identity.
     """
+    if not isinstance(matrix, IntMatrix):
+        # the results are built unchecked from this matrix's entries
+        raise TypeError(f"IntMatrix expected, got {type(matrix).__name__}")
     m = matrix.to_lists()
     rows, cols = matrix.rows, matrix.cols
     u = IntMatrix.identity(rows).to_lists()
@@ -93,7 +102,7 @@ def hnf(matrix):
                 m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return IntMatrix(m, cols=cols), IntMatrix(u, cols=rows)
+    return _int_matrix(m, cols), _int_matrix(u, rows)
 
 
 @dataclass(frozen=True)
@@ -160,6 +169,9 @@ def snf(matrix):
     Deterministic: the pivot is always the entry of smallest absolute value
     in the working submatrix, ties broken by position.
     """
+    if not isinstance(matrix, IntMatrix):
+        # the results are built unchecked from this matrix's entries
+        raise TypeError(f"IntMatrix expected, got {type(matrix).__name__}")
     rows, cols = matrix.rows, matrix.cols
     m = matrix.to_lists()
     u = IntMatrix.identity(rows).to_lists()
@@ -210,9 +222,8 @@ def snf(matrix):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
-    return SNFResult(D=IntMatrix(m, cols=cols),
-                     U=IntMatrix(u, cols=rows),
-                     V=IntMatrix(v, cols=cols))
+    return SNFResult(D=_int_matrix(m, cols), U=_int_matrix(u, rows),
+                     V=_int_matrix(v, cols))
 
 
 def snf_constrained_sl(matrix, side="right"):
@@ -237,8 +248,8 @@ def snf_constrained_sl(matrix, side="right"):
     u[0] = [-x for x in u[0]]
     for r in v:
         r[0] = -r[0]
-    return SNFResult(D=res.D, U=IntMatrix(u, cols=res.U.cols),
-                     V=IntMatrix(v, cols=res.V.cols))
+    return SNFResult(D=res.D, U=_int_matrix(u, res.U.cols),
+                     V=_int_matrix(v, res.V.cols))
 
 
 def integer_kernel_basis(matrix):

@@ -3,8 +3,14 @@ import os
 
 import pytest
 
-from sphereprod.cli import main
+import sphereprod.cli as cli
+from sphereprod.cli import _dumps, main
 from sphereprod.data import load_fixture_json
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    st = None
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +144,27 @@ def test_malformed_input_gives_error_document(tmp_path, capsys, case, kind):
     assert out["kind"] == kind
 
 
+@pytest.mark.parametrize("option", ["--input", "--coeffs", "--matrix"])
+@pytest.mark.parametrize("bad", ["directory", "not_utf8"])
+def test_unreadable_input_path_gives_error_document(tmp_path, capsys,
+                                                    option, bad):
+    if bad == "directory":
+        path = tmp_path / "inputs"
+        path.mkdir()
+    else:
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = {
+        "--input": ["classify", "--input", str(path)],
+        "--coeffs": ["verify", "--degrees", "2,3,4", "--coeffs", str(path)],
+        "--matrix": ["alt2-section", "--matrix", str(path)],
+    }[option]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(out) == {"error", "kind"}
+    assert str(path) in out["error"]
+
+
 @pytest.mark.parametrize("matrix", [
     {"rows": 3, "entries": [["1", "0", "0"], ["0", "1", "0"],
                             ["0", "0", "1"]]},
@@ -248,3 +275,118 @@ def test_model_commands_pinned(tmp_path, capsys, case):
                           "--coeffs", coeffs] + command[1:]
     assert main(argv) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+# -- the JSON writer ---------------------------------------------------------
+
+def _reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_error_document_bytes(capsys):
+    code = main(["classify", "--input", "bad3.json", "--height-bound", "-1"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "error": "--height-bound must be non-negative",\n'
+        '  "kind": "SphereProdError"\n'
+        '}\n')
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[[[[]]]]], (1, (2, [3])),
+    [float("nan"), float("inf"), -0.0, 1e300], "\ud800\x7f\u2028",
+    10 ** 100, -(10 ** 100),
+], ids=repr)
+def test_writer_matches_json_examples(obj):
+    assert _dumps(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [[object()], {"k": {1, 2}}],
+                         ids=["object", "set"])
+def test_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _reference(obj)
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+def test_writer_deep_nesting():
+    obj = "leaf"
+    for depth in range(200):
+        obj = {"k": obj} if depth % 2 else [obj, depth]
+    assert _dumps(obj) == _reference(obj)
+
+
+if st is not None:
+    _texts = st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from(
+            '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a ')))
+    _scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(-(2 ** 300), 2 ** 300), _texts)
+    _trees = st.recursive(
+        _scalars,
+        lambda children: st.one_of(
+            st.lists(children), st.lists(children).map(tuple),
+            st.dictionaries(_texts, children)),
+        max_leaves=60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_writer_matches_json(obj):
+        assert _dumps(obj) == _reference(obj)
+else:
+    def test_writer_property_needs_hypothesis():
+        pytest.importorskip("hypothesis")
+
+
+# -- one parser per process ----------------------------------------------------
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; a usage error's
+    SystemExit code stands in for the return value."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys,
+                                                 monkeypatch):
+    coeffs = write_coeffs(tmp_path, {"c": {"12": "2", "13": "3", "23": "4"}})
+    homology = ["homology", "--degrees", "2,3,4", "--coeffs", coeffs]
+    sequence = [
+        homology + ["--which", "eta"],
+        homology,
+        ["classify", "--input", "bad3.json", "--height-bound", "3"],
+        ["classify", "--input", "bad3.json"],
+        ["verify", "--input", "trivial.json"],
+        ["verify", "--degrees", "2,3,4", "--coeffs", coeffs],
+        ["homology", "--degrees", "2,3,4"],
+        homology + ["--which", "generators"],
+        ["classify", "--input", "bad3.json", "--height-bound", "-1"],
+        ["classify", "--input", "bad3.json"],
+    ]
+    alone = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(_call(capsys, argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 0, 2, 0, 1, 0]
+    # the defaults an earlier call overrode are back in the later call
+    assert alone[0][1] != alone[1][1] and alone[2][1] != alone[3][1]
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_call(capsys, argv) for argv in sequence] == alone
+    assert len(built) == 1

@@ -16,6 +16,7 @@ from sphereprod.cellmodel import build_boundary_complex
 from sphereprod.chains import ChainComplex
 from sphereprod.errors import NotAComplex, NotACycle
 from sphereprod.matrices import IntMatrix, RatMatrix, rat_solve
+from sphereprod.normal_forms import hnf, snf, snf_constrained_sl
 from sphereprod.orders import verify_order
 from sphereprod.realize import realize_ring
 from sphereprod.rings import CoefficientSequence, StructRing, \
@@ -56,11 +57,28 @@ def test_unchecked_results_equal_validated_construction():
             [[a[i][j] for i in range(r)] for j in range(k)], cols=r)
         assert ma.transpose().transpose() == ma
         assert IntMatrix.zeros(r, c) == IntMatrix([[0] * c] * r, cols=c)
-        for m in (prod, ma.transpose(), IntMatrix.identity(r),
-                  IntMatrix.zeros(r, c)):
+        h, u = hnf(ma)
+        smith = snf(ma)
+        assert u @ ma == h
+        assert smith.U @ ma @ smith.V == smith.D
+        results = [prod, ma.transpose(), IntMatrix.identity(r),
+                   IntMatrix.zeros(r, c), h, u, smith.D, smith.U, smith.V]
+        if r == k and ma.det() != 0:
+            for side in ("left", "right"):
+                sl = snf_constrained_sl(ma, side)
+                assert sl.U @ ma @ sl.V == sl.D
+                assert (sl.V if side == "right" else sl.U).det() == 1
+                results += [sl.D, sl.U, sl.V]
+        for m in results:
             assert all(type(x) is int for row in m.data for x in row)
+            assert m == IntMatrix(m.to_lists(), cols=m.cols)
     assert IntMatrix.identity(3) == IntMatrix(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the normal forms wrap their results unchecked, so they take only
+    # integer matrices
+    for form in (hnf, snf):
+        with pytest.raises(TypeError):
+            form(RatMatrix([[1, 2], [3, 4]]))
     # the unchecked constructors keep the entry type of a rational matrix
     for m in (RatMatrix.identity(2), RatMatrix.zeros(2, 3),
               RatMatrix([[1, 2]]).transpose(),
