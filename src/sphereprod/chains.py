@@ -16,7 +16,7 @@ from .errors import (
     NotACycle,
     NotSplitInclusion,
 )
-from .matrices import IntMatrix, int_inverse_unimodular
+from .matrices import IntMatrix
 from .normal_forms import hnf, snf
 
 
@@ -239,8 +239,7 @@ class HomologyResult:
         smith = snf(bn)
         rank = smith.rank
         kernel = smith.V.submatrix(range(dim), range(rank, dim))
-        coords = int_inverse_unimodular(smith.V).submatrix(range(rank, dim),
-                                                            range(dim))
+        coords = smith.Vinv.submatrix(range(rank, dim), range(dim))
         r = dim - rank
         w = coords @ bnext
         if kernel @ w != bnext:
@@ -249,8 +248,7 @@ class HomologyResult:
         s = res.rank
         diag = res.diagonal
         orders = [diag[i] if i < s else 0 for i in range(r)]
-        uinv = int_inverse_unimodular(res.U)
-        gens = kernel @ uinv
+        gens = kernel @ res.Uinv
         # Hermite basis of the boundary image, used to reduce representatives
         image_h, _ = hnf(bnext.transpose())
         image_rows = [row for row in image_h.data if any(row)]
@@ -382,13 +380,12 @@ def pushout_complex(i, j):
         if any(d not in (0, 1) for d in diag):
             raise NotSplitInclusion(
                 f"cokernel of the inclusion has torsion at degree {n}")
-        uinv = int_inverse_unimodular(res.U)
-        comp = [uinv.column(k) for k in range(a.dim(n), x.dim(n))]
-        comp_cols[n] = comp
-        full = IntMatrix.from_columns(
-            [mat.column(k) for k in range(mat.cols)] + comp,
-            rows=x.dim(n))
-        decomp_inv[n] = int_inverse_unimodular(full) if x.dim(n) else full
+        na, nx = a.dim(n), x.dim(n)
+        comp_cols[n] = [res.Uinv.column(k) for k in range(na, nx)]
+        # mat = U^-1 D V^-1 with D = (I; 0), so the basis (mat | comp) of
+        # X_n is U^-1 diag(V^-1, I), whose inverse is diag(V, I) U
+        head = res.V @ res.U.submatrix(range(na), range(nx))
+        decomp_inv[n] = IntMatrix(head.data + res.U.data[na:], cols=nx)
 
     labels = {}
     for n in range(top + 1):

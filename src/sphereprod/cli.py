@@ -20,7 +20,7 @@ from .cellmodel import (
     top_cycles,
 )
 from .chains import induced_on_homology
-from .errors import SphereProdError
+from .errors import DegreeTooSmall, SphereProdError
 from .orders import OrderInput, classify_order, verify_order
 from .realize import realize_ring
 from .rings import (
@@ -163,6 +163,8 @@ def cmd_verify(args):
         raise SphereProdError(
             "verify needs --input, or --degrees with --coeffs")
     degrees = _parse_degrees(args.degrees)
+    if min(degrees) < 1:
+        raise DegreeTooSmall("all degrees must be at least 1")
     coeffs = _load_coeffs(args.coeffs)
     ring = build_weighted_ring(coeffs, degrees)
     violations = verify_ring_axioms(ring)
@@ -239,11 +241,27 @@ def build_parser():
 _parser = None
 
 
+def _attach_degrees(argv):
+    """Write ``--degrees -2,3,4`` (or an abbreviation such as ``--deg``) as
+    ``--degrees=-2,3,4``: argparse reads a separate value that starts with
+    a minus sign as an option, and the triple must reach the domain check
+    instead."""
+    out = []
+    for tok in argv:
+        if out and len(out[-1]) > 2 and "--degrees".startswith(out[-1]) \
+                and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = "--degrees=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(
+        _attach_degrees(sys.argv[1:] if argv is None else argv))
     try:
         out = args.func(args)
     except SphereProdError as exc:

@@ -3,6 +3,13 @@
 A lattice is stored by a rational basis matrix whose columns are linearly
 independent.  All computations are exact; subspace intersections reduce to
 integer kernels via Smith normal form after clearing denominators.
+
+The classifier no longer calls the intersection, complement or membership
+routines: ``orders`` splits an order in its integer generator coordinates
+and keeps only the ``Lattice`` container for the resulting bases.  The
+routines stay as public API and as the independent oracle the tests
+compare that splitting with; both take complements from
+``normal_forms.saturated_complement``.
 """
 
 from __future__ import annotations
@@ -10,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatch, NotSaturated
+from .errors import DimensionMismatch
 from .matrices import IntMatrix, RatMatrix, rat_rank, rat_solve, \
-    int_inverse_unimodular, rat_kernel_basis
-from .normal_forms import snf, integer_kernel_basis
+    rat_kernel_basis
+from .normal_forms import integer_kernel_basis, saturated_complement
 
 
 class Lattice:
@@ -120,17 +127,9 @@ def _split_complement_plain(lattice, sub):
         coords.append(c)
     if not coords:
         return lattice
-    w = IntMatrix.from_columns(coords, rows=lattice.rank)
-    res = snf(w)
-    diag = res.diagonal
-    if len([d for d in diag if d != 0]) != sub.rank or any(
-            d not in (0, 1) for d in diag):
-        raise NotSaturated("quotient by the sublattice has torsion")
-    uinv = int_inverse_unimodular(res.U)
-    cols = []
-    for j in range(sub.rank, lattice.rank):
-        coeffs = [Fraction(uinv.entry(i, j)) for i in range(lattice.rank)]
-        cols.append(lattice.basis.mul_vector(coeffs))
+    _, comp = saturated_complement(
+        IntMatrix.from_columns(coords, rows=lattice.rank))
+    cols = [lattice.basis.mul_vector([Fraction(x) for x in c]) for c in comp]
     return Lattice(RatMatrix.from_columns(cols, rows=lattice.ambient_dim),
                    check=False)
 

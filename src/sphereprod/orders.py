@@ -23,11 +23,10 @@ from .errors import (
     SingularInput,
     WrongRank,
 )
-from .lattices import Lattice, column_degree, intersect_subspace, \
-    split_complement
+from .lattices import Lattice, column_degree
 from .matrices import IntMatrix, RatMatrix, int_inverse_unimodular, \
-    rat_inverse, rat_solve
-from .normal_forms import snf, snf_constrained_sl
+    rat_inverse
+from .normal_forms import saturated_complement, snf, snf_constrained_sl
 from .rings import (
     CoefficientSequence,
     RingMapWitness,
@@ -239,13 +238,21 @@ def verify_order(inp):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Graded splitting unit + L1 + L2 + L3 of an order."""
+    """Graded splitting unit + L1 + L2 + L3 of an order.
+
+    ``l2_coords`` maps each degree of L2 to (gens, rows, skip).  The rows
+    send the generator coordinates (at positions ``gens``) of an element of
+    the order of that degree to its coordinates in the Smith basis of the
+    degree block: first outside N2, then in N3, then in L2.  The element
+    lies in L2 exactly when the first ``skip`` of them vanish.
+    """
 
     unit: tuple
     l1: Lattice
     l2: Lattice
     l3: Lattice
     ambient_degrees: tuple
+    l2_coords: dict = field(default_factory=dict, compare=False)
 
     def part(self, i):
         return (self.l1, self.l2, self.l3)[i - 1]
@@ -255,25 +262,49 @@ class Decomposition:
                 for c in self.part(i).basis_columns()]
 
 
-def _power_intersection(ctx, power):
-    """Degreewise intersection of the order with the given ideal power."""
-    qualifying = [m for m in MASKS if bin(m).count("1") >= power]
-    columns = []
-    by_degree = {}
-    for vec, deg in zip(ctx.gen_vectors, ctx.gen_degrees):
-        by_degree.setdefault(deg, []).append(vec)
-    for deg in sorted(by_degree):
-        piece = Lattice.from_columns(by_degree[deg], ambient_dim=8,
-                                     check=False)
-        sub = [m for m in qualifying if ctx.adeg[m] == deg]
-        if not sub:
-            continue
-        subspace = RatMatrix.from_columns(
-            [tuple(Fraction(1) if k == m else Fraction(0) for k in MASKS)
-             for m in sub], rows=8)
-        inter = intersect_subspace(piece, subspace)
-        columns.extend(inter.basis_columns())
-    return Lattice.from_columns(columns, ambient_dim=8, check=False)
+def _matvec(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def _combine(coeffs, vectors):
+    """The combination sum_k coeffs[k] * vectors[k] of equal-length vectors."""
+    return [sum(a * v[i] for a, v in zip(coeffs, vectors))
+            for i in range(len(vectors[0]))]
+
+
+def _ambient(masks, rows, den, coeffs):
+    """The vector with generator coordinates coeffs in a degree block whose
+    generator entries at ``masks`` are the integer rows over den."""
+    vec = [Fraction(0)] * 8
+    for m, row in zip(masks, rows):
+        vec[m] = Fraction(sum(a * b for a, b in zip(row, coeffs)), den)
+    return tuple(vec)
+
+
+def _power_piece(masks, vectors, power):
+    """Intersection of one degree block of the order with the power of the
+    augmentation ideal, in the block's generator coordinates.
+
+    It is the integer kernel of the generators' entries at every mask that
+    is not a monomial of this degree in the power, one row per mask in mask
+    order (the rows of other degrees are zero) and each row cleared of its
+    denominators.  Returns (kernel columns, V^-1, rank) of the Smith form,
+    where rows rank: of V^-1 map a kernel element to its coordinates, or
+    None when no monomial of the block lies in the power.
+    """
+    inside = [m for m in masks if bin(m).count("1") >= power]
+    if not inside:
+        return None
+    rows = []
+    for m in MASKS:
+        if m not in inside:
+            row = [v[m] for v in vectors]
+            e = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (e // x.denominator) for x in row])
+    n = len(vectors)
+    res = snf(IntMatrix(rows, cols=n))
+    r = res.rank
+    return [res.V.column(j) for j in range(r, n)], res.Vinv.data, r
 
 
 def decompose(inp):
@@ -282,17 +313,45 @@ def decompose(inp):
 
 
 def _decompose(ctx):
-    n1 = _power_intersection(ctx, 1)
-    n2 = _power_intersection(ctx, 2)
-    n3 = _power_intersection(ctx, 3)
-    l3 = n3
-    l2 = split_complement(n2, n3, ambient_degrees=ctx.adeg)
-    l1 = split_complement(n1, n2, ambient_degrees=ctx.adeg)
+    """Split the order one degree block at a time, over the integers.
+
+    N_p, the part of the order in the p-th power of the augmentation ideal,
+    meets a block in the kernel of _power_piece.  L3 is N3, and L_p for
+    p = 1, 2 is the complement of N_{p+1} in N_p that saturated_complement
+    reads off the Smith form of N_{p+1}'s coordinates in N_p.
+    """
+    parts = ([], [], [])
+    l2_coords = {}
+    for masks, gens, _, _ in ctx._blocks:
+        vectors = [ctx.gen_vectors[i] for i in gens]
+        den = lcm(*(v[m].denominator for v in vectors for m in masks))
+        rows = [[v[m].numerator * (den // v[m].denominator) for v in vectors]
+                for m in masks]
+        pieces = [_power_piece(masks, vectors, p) for p in (1, 2, 3)]
+        for p, piece in enumerate(pieces):
+            if piece is None:
+                break
+            kernel, vinv, r = piece
+            to_kernel = vinv[r:]
+            sub = pieces[p + 1][0] if p < 2 and pieces[p + 1] else []
+            if sub:
+                res, comp = saturated_complement(IntMatrix.from_columns(
+                    [_matvec(to_kernel, c) for c in sub], rows=len(kernel)))
+                cols = [_combine(c, kernel) for c in comp]
+                to_kernel = [_combine(u, to_kernel) for u in res.U.data]
+            else:
+                cols = kernel
+            parts[p].extend(_ambient(masks, rows, den, c) for c in cols)
+            if p == 1:
+                l2_coords[ctx.adeg[masks[0]]] = (
+                    gens, list(vinv[:r]) + list(to_kernel), r + len(sub))
+    l1, l2, l3 = (Lattice.from_columns(cols, ambient_dim=8, check=False)
+                  for cols in parts)
     if (l1.rank, l2.rank, l3.rank) != (3, 3, 1):
         raise InternalCheckFailed(
             f"decomposition ranks are ({l1.rank}, {l2.rank}, {l3.rank})")
     dec = Decomposition(unit=unit_vector(), l1=l1, l2=l2, l3=l3,
-                        ambient_degrees=ctx.adeg)
+                        ambient_degrees=ctx.adeg, l2_coords=l2_coords)
     if sorted(dec.part_degrees(1)) != sorted(ctx.degrees):
         raise InternalCheckFailed(
             "degrees of the first slice do not match the input degrees")
@@ -466,17 +525,17 @@ def _repeated_even(degrees):
 
 def _l2_piece_coords(ctx, dec, vectors, degree):
     """Coordinates of vectors in the degree slice of the second part."""
-    cols = [c for c in dec.l2.basis_columns()
-            if column_degree(c, ctx.adeg) == degree]
-    piece = RatMatrix.from_columns(cols, rows=8)
+    gens, rows, skip = dec.l2_coords.get(degree, ((), [], 0))
     out = []
     for v in vectors:
-        x = rat_solve(piece, v)
-        if x is None or any(f.denominator != 1 for f in x):
+        x = ctx.int_coords(v)
+        y = None if x is None else _matvec(rows, [x[i] for i in gens])
+        if (y is None or any(y[:skip])
+                or any(x[i] for i in MASKS if i not in gens)):
             raise InternalCheckFailed(
                 "pair product misses the expected graded slice")
-        out.append([int(f) for f in x])
-    return out, len(cols)
+        out.append(y[skip:])
+    return out, len(rows) - skip
 
 
 def classify_order(inp, height_bound=8):

@@ -14,6 +14,8 @@ from sphereprod.errors import NotAComplex, NotACycle, NotSplitInclusion
 from sphereprod.matrices import IntMatrix, rat_rank
 from sphereprod.normal_forms import elementary_divisors_via_minors
 
+from util import random_unimodular
+
 
 def sphere_complex(k):
     """One 0-cell and one k-cell, zero boundary."""
@@ -214,6 +216,21 @@ def test_pushout_along_identity_gives_other_leg():
         assert p.dim(n) == i.target.dim(n)
         assert hp.free_rank(n) == hx.free_rank(n)
         assert sorted(hp.torsion(n)) == sorted(hx.torsion(n))
+
+
+def test_pushout_square_commutes_for_mixed_inclusions():
+    # split inclusions whose Smith form needs row and column operations, so
+    # the pushout's coordinates use both transforms and their inverses
+    rng = random.Random(4007)
+    a = ChainComplex({0: ["a0", "a1"]}, {})
+    x = ChainComplex({0: ["x0", "x1", "x2"]}, {})
+    corner = IntMatrix([[1, 0], [0, 1], [0, 0]])
+    for _ in range(20):
+        m = random_unimodular(rng, 3) @ corner @ random_unimodular(rng, 2)
+        i = ChainMap(a, x, {0: m})
+        p, from_x, from_y = pushout_complex(i, ChainMap.identity(a))
+        assert p.dim(0) == 3
+        assert from_x.matrix(0) @ m == from_y.matrix(0)
 
 
 def test_pushout_rejects_torsion_cokernel():

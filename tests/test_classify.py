@@ -415,6 +415,30 @@ def test_unplanted_odd_orders_are_weighted(degree):
             assert check_ring_map(result.witness, model, ring)
 
 
+def _pinned_classify_outputs():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "classify_pinned.json")
+    with open(path) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case", _pinned_classify_outputs(),
+                         ids=lambda case: case["name"])
+def test_classify_pinned(tmp_path, capsys, case):
+    # full standard output, byte for byte, of classify on each path of the
+    # basis normalization: all-distinct degrees, two-equal and all-equal
+    # odd degrees (the alt2 section), a coincidence d3 = d1 + d2, even
+    # degrees whose generator needs a square repair, a square-zero
+    # obstruction, and the shipped bad3.json through the search
+    if case["order"] is None:
+        path = "bad3.json"
+    else:
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(case["order"]))
+    assert main(["classify", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def _pinned_classify_cases():
     path = os.path.join(os.path.dirname(__file__), "data",
                         "classify_all_equal_even.json")

@@ -70,6 +70,19 @@ def test_realize_rejects_small_degrees(tmp_path, capsys):
     assert out["kind"] == "DegreeTooSmall"
 
 
+@pytest.mark.parametrize("command", ["homology", "realize", "verify"])
+def test_negative_degrees_reach_the_domain_check(tmp_path, capsys, command):
+    # a separate value that starts with a minus sign is still the triple
+    coeffs = write_coeffs(tmp_path, {"c": {"12": "1"}})
+    outputs = []
+    for degrees in (["--degrees", "-2,3,4"], ["--degrees=-2,3,4"],
+                    ["--deg", "-2,3,4"]):
+        assert main([command] + degrees + ["--coeffs", coeffs]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["kind"] == "DegreeTooSmall"
+
+
 def test_classify_shipped_fixtures(capsys):
     code, out = run_cli(capsys, "classify", "--input", "bad3.json")
     assert code == 0

@@ -214,16 +214,36 @@ def test_model_commands_build_each_complex_once(tmp_path, capsys,
 # -- orders ----------------------------------------------------------------
 
 def test_search_maps_to_l1_without_rational_solves(monkeypatch):
-    calls = {"orders": 0, "lattices": 0}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rat_solve(*args)
     for module in (orders, lattices):
-        def counted(*args, _name=module.__name__.split(".")[-1]):
-            calls[_name] += 1
-            return rat_solve(*args)
-        monkeypatch.setattr(module, "rat_solve", counted)
+        for name, value in list(vars(module).items()):
+            if value is rat_solve:
+                monkeypatch.setattr(module, name, counted)
     result = orders.not_weighted_search(bad3_order())
     assert result.outcome == "not_weighted_certified"
     assert len(result.report["failures"]) == 2
-    # candidates and triples map to L1 through one integer inverse; the
-    # only solves left are the decomposition's, one per basis column of
-    # N2 (rank 4) and N3 (rank 1)
-    assert calls == {"orders": 0, "lattices": 5}
+    # candidates and triples map to L1 through one integer inverse, and the
+    # decomposition reads its coordinates off integer Smith forms
+    assert calls == []
+
+
+def test_classify_without_rational_solves(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rat_solve(*args)
+    for module in (orders, lattices):
+        for name, value in list(vars(module).items()):
+            if value is rat_solve:
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random(9100)
+    for degrees in ((3, 3, 3), (3, 3, 5), (1, 2, 3), (1, 3, 4)):
+        coeffs = CoefficientSequence(2, 3, 6, 12)
+        inp = embedded_weighted_order(coeffs, degrees, rng=rng)
+        assert orders.classify_order(inp).outcome == "weighted"
+    assert calls == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sphereprod.errors import SingularInput
+from sphereprod.errors import NotSaturated, SingularInput
 from sphereprod.matrices import IntMatrix
 from sphereprod.normal_forms import (
     hnf,
@@ -10,6 +10,7 @@ from sphereprod.normal_forms import (
     snf_constrained_sl,
     integer_kernel_basis,
     elementary_divisors_via_minors,
+    saturated_complement,
     xgcd,
 )
 
@@ -142,6 +143,42 @@ def test_snf_constrained_singular_rejected():
         snf_constrained_sl(IntMatrix.zeros(3, 3))
 
 
+def test_snf_inverses_random():
+    rng = random.Random(9300)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice((1, 3, 9))
+        a = random_matrix(rng, rows, cols, bound)
+        if rng.random() < 0.5 and rows and cols:
+            # low rank: the product of two thin random matrices
+            k = rng.randint(1, min(rows, cols))
+            a = random_matrix(rng, rows, k, 3) @ random_matrix(rng, k, cols, 3)
+        res = snf(a)
+        assert (res.U @ res.Uinv).is_identity()
+        assert (res.V @ res.Vinv).is_identity()
+        assert res.Uinv @ res.D @ res.Vinv == a
+        if rows == cols and a.det():
+            for side in ("left", "right"):
+                sl = snf_constrained_sl(a, side=side)
+                assert (sl.U @ sl.Uinv).is_identity()
+                assert (sl.V @ sl.Vinv).is_identity()
+
+
+def test_saturated_complement():
+    # the span of (2, 1, 0) and (0, 0, 1) is saturated in Z^3
+    sub = IntMatrix.from_columns([(2, 1, 0), (0, 0, 1)], rows=3)
+    res, comp = saturated_complement(sub)
+    assert len(comp) == 1
+    basis = IntMatrix.from_columns(list(sub.columns()) + comp, rows=3)
+    assert abs(basis.det()) == 1
+    assert res.Uinv.submatrix(range(3), range(2)) @ res.Vinv == sub
+    with pytest.raises(NotSaturated):
+        saturated_complement(IntMatrix.from_columns([(2, 0, 0)], rows=3))
+    with pytest.raises(NotSaturated):
+        saturated_complement(IntMatrix.from_columns([(1, 0), (2, 0)],
+                                                    rows=2))
+
+
 def test_integer_kernel():
     a = IntMatrix([[2, 2, 2], [3, 3, 3]])
     kernel = integer_kernel_basis(a)
@@ -212,6 +249,11 @@ if sympy is not None:
         assert res.U @ a @ res.V == res.D
         assert res.D.is_diagonal()
         assert _is_unimodular(res.U) and _is_unimodular(res.V)
+        # the inverses carried along with the transforms
+        assert sympy.Matrix(res.Uinv.to_lists()) == \
+            sympy.Matrix(res.U.to_lists()).inv()
+        assert sympy.Matrix(res.Vinv.to_lists()) == \
+            sympy.Matrix(res.V.to_lists()).inv()
         diag = res.diagonal
         assert all(d >= 0 for d in diag)
         nonzero = [d for d in diag if d != 0]
